@@ -222,6 +222,10 @@ class CascadedChain:
     states that can never occur (their holding time has zero tail mass);
     they are kept so indexing matches num_quality_states * max_holding, and
     they receive no inbound probability.
+
+    Samplers invert ``_cum_rows``, the cumulative row sums set to +inf from
+    each row's last positive column on: rows may sum to 1 - 1e-6, and a draw
+    above the sum must land there, not on a zero-probability state.
     """
 
     states: tuple[tuple[int, int], ...]
@@ -230,19 +234,19 @@ class CascadedChain:
     num_quality_states: int
     max_holding: int
     unreachable: frozenset[int] = frozenset()
-    cumulative_rows: np.ndarray = field(default=None, repr=False, compare=False)
+    _cum_rows: np.ndarray = field(default=None, repr=False, compare=False)
     _cum_tuples: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.cumulative_rows is None:
-            object.__setattr__(
-                self, "cumulative_rows", np.cumsum(self.transition, axis=1)
-            )
+        if self._cum_rows is None:
+            n = self.transition.shape[1]
+            last = n - 1 - np.argmax(self.transition[:, ::-1] > 0.0, axis=1)
+            cum = np.cumsum(self.transition, axis=1)
+            cum[np.arange(n) >= last[:, None]] = np.inf
+            object.__setattr__(self, "_cum_rows", cum)
         if self._cum_tuples is None:
             object.__setattr__(
-                self,
-                "_cum_tuples",
-                tuple(tuple(row) for row in self.cumulative_rows.tolist()),
+                self, "_cum_tuples", tuple(tuple(row) for row in self._cum_rows.tolist())
             )
 
     @property
@@ -268,12 +272,7 @@ class CascadedChain:
                 f"drops must be {self.drops.shape}, got {drops.shape}"
             )
         _check_probabilities(drops, "drops")
-        return replace(
-            self,
-            drops=drops,
-            cumulative_rows=self.cumulative_rows,
-            _cum_tuples=self._cum_tuples,
-        )
+        return replace(self, drops=drops)  # carries the sampling tables over
 
 
 def lift_quality_drops(
@@ -378,9 +377,7 @@ def drop_matrix(chain: CascadedChain, selection: np.ndarray) -> np.ndarray:
 
 def sample_next(chain: CascadedChain, current: int, rng: np.random.Generator) -> int:
     """Draw the next cascaded state from the row of the current one."""
-    u = rng.random()
-    idx = bisect_right(chain._cum_tuples[current], u)
-    return min(idx, chain.num_states - 1)
+    return bisect_right(chain._cum_tuples[current], rng.random())
 
 
 def sample_path(
@@ -411,13 +408,10 @@ def sample_paths(
     states = np.asarray(starts, dtype=int).copy()
     out = np.empty((states.size, num_steps + 1), dtype=int)
     out[:, 0] = states
-    cum = chain.cumulative_rows
-    last = chain.num_states - 1
+    cum = chain._cum_rows
     for t in range(1, num_steps + 1):
         u = rng.random(states.size)
-        states = np.minimum(
-            np.sum(cum[states] <= u[:, None], axis=1), last
-        )
+        states = np.sum(cum[states] <= u[:, None], axis=1)
         out[:, t] = states
     return out
 

@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario(p_sweep)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--grid", type=_parse_grid, default=None, help="ROWSxCOLS override")
-    p_sweep.add_argument("--workers", type=int, default=None)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo simulation runs")
     add_scenario(p_sim)
@@ -150,7 +149,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     loaded = _load(args)
-    result = sweep_stability(loaded, grid=args.grid, workers=args.workers)
+    result = sweep_stability(loaded, grid=args.grid)
     write_sweep_csv(result, args.out)
     stable = int(np.sum(result.region_mask))
     total = result.factor.size

@@ -50,10 +50,16 @@ BOUNDARY = "boundary"
 DEFAULT_BUDGET = 10**8
 
 
-def _verdict(product: float, tol_boundary: float) -> str:
-    if abs(product - 1.0) <= tol_boundary:
-        return BOUNDARY
-    return STABLE if product < 1.0 else UNSTABLE
+def verdict_for(product, tol_boundary: float = 1e-9):
+    """Verdict string for a product ``rho_max**2 * factor``, or an object array of them.
+
+    Products within ``tol_boundary`` of 1 are the boundary band; below it
+    stable, above it (or NaN) unstable.  A scalar input gives a ``str``.
+    """
+    p = np.asarray(product, dtype=float)
+    out = np.where(p < 1.0, STABLE, UNSTABLE).astype(object)
+    out[np.abs(p - 1.0) <= tol_boundary] = BOUNDARY
+    return out if out.ndim else out[()]
 
 
 def max_plant_spectral_radius(processes) -> tuple[float, int]:
@@ -109,7 +115,7 @@ def evaluate_current_csi(
         rho_max=rho_max,
         factor=lam,
         product=product,
-        verdict=_verdict(product, tol_boundary),
+        verdict=verdict_for(product, tol_boundary),
         selection=v_star,
         csi_mode="current",
         dominant_process=dominant,
@@ -216,7 +222,7 @@ def evaluate_delayed_csi(
         rho_max=rho_max,
         factor=lam_l,
         product=product,
-        verdict=_verdict(product, tol_boundary),
+        verdict=verdict_for(product, tol_boundary),
         selection=selections,
         csi_mode="delayed",
         dominant_process=dominant,

@@ -1,54 +1,62 @@
 """Stability-region sweeps, simulation campaigns, and CSI comparison tables.
 
-A sweep scans two drop-table entries over a grid, re-evaluating the
+A sweep scans two drop-table entries over a grid and evaluates the
 current-CSI stability test in every cell; the stable cells form the
-stability region.  Output files are plain CSV with two leading comment
-lines (tool version and scenario hash) and are byte-identical across reruns
-of the same inputs, so they diff cleanly.
+stability region.  Each axis is a boolean mask over the cascaded drop
+table, and the cells' greedy failure matrices are stacked into batched
+eigensolves of at most 256 KiB each, so memory stays bounded on any grid.
+Output files are plain CSV with two leading comment lines (tool version and
+scenario hash) and are byte-identical across reruns of the same inputs, so
+they diff cleanly.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .channel import CascadedChain, lift_quality_drops
+from .channel import CascadedChain, _check_probabilities
 from .errors import ScenarioValidationError
+from .process import spectral_radius
 from .scenario import AxisSpec, LoadedScenario, SweepSpec
 from .sim import Scenario, make_policy, run
-from .stability import STABLE, current_csi_factor, delayed_csi_factor, max_plant_spectral_radius
+from .stability import STABLE, current_csi_factor, delayed_csi_factor
+from .stability import max_plant_spectral_radius, verdict_for
 
-WORKERS_ENV = "REMEST_WORKERS"
+_CHUNK_BYTES = 1 << 18  # bytes of stacked failure matrices per batched eigensolve
+_CSV_BLOCK = 4096  # sweep rows formatted per write, so memory stays flat
 
 
-def _axis_values(axis: AxisSpec, count: int) -> np.ndarray:
-    return np.linspace(axis.lo, axis.hi, count)
+def _axis_masks(scenario: Scenario, axes: tuple[AxisSpec, AxisSpec]) -> list[np.ndarray]:
+    """Per axis, the boolean mask of the cascaded drop entries it sets.
+
+    A ``level`` axis sets every holding time of each quality state whose
+    level on its frequency is the target; a ``cascade`` axis one entry.
+    """
+    if axes[0].kind != axes[1].kind:
+        raise ValueError("sweep axes must share one drop-table granularity")
+    chain = scenario.chain
+    levels = np.repeat(np.array(scenario.channel.quality_states), chain.max_holding, axis=0)
+    states = np.arange(chain.num_states)[:, None]
+    frequencies = np.arange(chain.num_frequencies)
+    return [
+        (frequencies == ax.frequency - 1)
+        & (levels == ax.target - 1 if ax.kind == "level" else states == ax.target)
+        for ax in axes
+    ]
 
 
 def apply_axes(
     scenario: Scenario, axes: tuple[AxisSpec, AxisSpec], values: tuple[float, float]
 ) -> CascadedChain:
     """The scenario's cascaded chain with the axis drop entries overridden."""
-    channel = scenario.channel
-    chain = scenario.chain
-    if all(ax.kind == "level" for ax in axes):
-        table = [list(row) for row in channel.level_drops]
-        for ax, v in zip(axes, values):
-            table[ax.frequency - 1][ax.target - 1] = float(v)
-        model = replace(channel, level_drops=tuple(tuple(r) for r in table))
-        drops = lift_quality_drops(model.quality_drop_table(), channel.max_holding)
-        return chain.with_drops(drops)
-    if all(ax.kind == "cascade" for ax in axes):
-        drops = chain.drops.copy()
-        for ax, v in zip(axes, values):
-            drops[ax.target, ax.frequency - 1] = float(v)
-        return chain.with_drops(drops)
-    raise ValueError("sweep axes must share one drop-table granularity")
+    drops = scenario.chain.drops.copy()
+    for mask, v in zip(_axis_masks(scenario, axes), values):
+        drops[mask] = float(v)
+    return scenario.chain.with_drops(drops)
 
 
 @dataclass(frozen=True)
@@ -75,35 +83,18 @@ class SweepResult:
         return self.verdict == STABLE
 
 
-def _verdict_grid(product: np.ndarray, tol_boundary: float) -> np.ndarray:
-    verdict = np.where(product < 1.0, "stable", "unstable").astype(object)
-    verdict[np.abs(product - 1.0) <= tol_boundary] = "boundary"
-    return verdict
-
-
-def _sweep_rows(args) -> list[list[float]]:
-    scenario, axes, v1_slice, values2 = args
-    out = []
-    for v1 in v1_slice:
-        row = []
-        for v2 in values2:
-            chain = apply_axes(scenario, axes, (float(v1), float(v2)))
-            lam, _ = current_csi_factor(chain)
-            row.append(lam)
-        out.append(row)
-    return out
-
-
 def sweep_stability(
     loaded: LoadedScenario,
     grid: tuple[int, int] | None = None,
     tol_boundary: float = 1e-9,
-    workers: int | None = None,
 ) -> SweepResult:
     """Evaluate the current-CSI test over the scenario's sweep grid.
 
-    ``workers`` > 1 distributes grid rows over a process pool; results are
-    merged in grid order, so the output does not depend on worker count.
+    Every cell's factor equals ``current_csi_factor`` of its overridden chain
+    bit for bit: ``d[:, None] * T`` is exactly ``diag(d) @ T`` and the
+    batched eigensolve runs the same LAPACK routine on each matrix.  A chunk
+    whose batched solve fails is redone cell by cell by ``spectral_radius``,
+    which retries on the transpose before raising ``NonConvergentError``.
     """
     if loaded.sweep is None:
         raise ScenarioValidationError("scenario has no sweep section", "sweep")
@@ -111,23 +102,29 @@ def sweep_stability(
     rows, cols = grid if grid is not None else spec.grid
     if rows < 2 or cols < 2:
         raise ValueError("grid resolution must be at least 2x2")
-    values1 = _axis_values(spec.axes[0], rows)
-    values2 = _axis_values(spec.axes[1], cols)
+    values1 = np.linspace(spec.axes[0].lo, spec.axes[0].hi, rows)
+    values2 = np.linspace(spec.axes[1].lo, spec.axes[1].hi, cols)
+    _check_probabilities(np.concatenate([values1, values2]), "sweep axis values")
     scenario = loaded.scenario
     rho_max, _ = max_plant_spectral_radius(scenario.processes)
+    mask1, mask2 = _axis_masks(scenario, spec.axes)
+    chain = scenario.chain
 
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    factor = np.empty((rows, cols))
-    if workers > 1:
-        chunks = np.array_split(values1, workers)
-        args = [(scenario, spec.axes, chunk, values2) for chunk in chunks if chunk.size]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_rows, args))
-        flat = [row for chunk_rows in results for row in chunk_rows]
-        factor[:] = np.asarray(flat)
-    else:
-        factor[:] = np.asarray(_sweep_rows((scenario, spec.axes, values1, values2)))
+    cell_v1 = np.repeat(values1, cols)
+    cell_v2 = np.tile(values2, rows)
+    factor = np.empty(rows * cols)
+    chunk = max(1, _CHUNK_BYTES // chain.transition.nbytes)
+    for lo in range(0, factor.size, chunk):
+        part = slice(lo, lo + chunk)
+        drops = np.repeat(chain.drops[None], cell_v1[part].size, axis=0)
+        drops[:, mask1] = cell_v1[part, None]
+        drops[:, mask2] = cell_v2[part, None]
+        fail = drops.min(axis=-1)[..., None] * chain.transition
+        try:
+            factor[part] = np.abs(np.linalg.eigvals(fail)).max(axis=-1)
+        except np.linalg.LinAlgError:
+            factor[part] = [spectral_radius(m) for m in fail]
+    factor = factor.reshape(rows, cols)
 
     product = rho_max**2 * factor
     return SweepResult(
@@ -137,7 +134,7 @@ def sweep_stability(
         rho_max=rho_max,
         factor=factor,
         product=product,
-        verdict=_verdict_grid(product, tol_boundary),
+        verdict=verdict_for(product, tol_boundary),
         scenario_sha256=loaded.sha256,
     )
 
@@ -148,30 +145,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path, header: list[str], rows, scenario_sha256: str) -> None:
+def _write_text(path, header: list[str], chunks, scenario_sha256: str) -> None:
+    """Comment lines and header, then newline-terminated chunks of CSV text."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"# remest {__version__}\n")
-        fh.write(f"# scenario sha256={scenario_sha256}\n")
+        fh.write(f"# remest {__version__}\n# scenario sha256={scenario_sha256}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(chunks)
+
+
+def _write_csv(path, header: list[str], rows, scenario_sha256: str) -> None:
+    _write_text(path, header, (",".join(map(_fmt, row)) + "\n" for row in rows), scenario_sha256)
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One CSV row per grid cell, row-major, shortest round-trip floats."""
     header = [result.axis_labels[0], result.axis_labels[1], "lambda", "product", "verdict"]
-    rows = (
-        [
-            float(result.values1[i]),
-            float(result.values2[j]),
-            float(result.factor[i, j]),
-            float(result.product[i, j]),
-            result.verdict[i, j],
-        ]
-        for i in range(result.values1.size)
-        for j in range(result.values2.size)
-    )
-    _write_csv(path, header, rows, result.scenario_sha256)
+    rows, cols = result.factor.shape
+    v1, v2 = np.repeat(result.values1, cols), np.tile(result.values2, rows)
+    columns = (v1, v2, result.factor.ravel(), result.product.ravel(), result.verdict.ravel())
+
+    def blocks():
+        for lo in range(0, rows * cols, _CSV_BLOCK):
+            cells = (map(repr, c[lo : lo + _CSV_BLOCK].tolist()) for c in columns[:4])
+            verdicts = columns[4][lo : lo + _CSV_BLOCK].tolist()
+            yield "\n".join(map(",".join, zip(*cells, verdicts))) + "\n"
+
+    _write_text(path, header, blocks(), result.scenario_sha256)
 
 
 @dataclass(frozen=True)
@@ -293,17 +292,13 @@ def compare_csi(
     def make_row(mode: str, horizon: int | None, factor: float) -> CsiComparisonRow:
         threshold = math.inf if factor == 0 else 1.0 / math.sqrt(factor)
         product = rho_max**2 * factor
-        if abs(product - 1.0) <= tol_boundary:
-            verdict = "boundary"
-        else:
-            verdict = "stable" if product < 1.0 else "unstable"
         return CsiComparisonRow(
             csi_mode=mode,
             horizon=horizon,
             factor=factor,
             rho_max_threshold=threshold,
             product=product,
-            verdict=verdict,
+            verdict=verdict_for(product, tol_boundary),
         )
 
     lam, _ = current_csi_factor(scenario.chain)

@@ -5,12 +5,16 @@ radii come from Gelfand iteration or a full eigendecomposition instead of
 the production eigvals call, stationary vectors from matrix powers instead
 of the linear solve, the steady Kalman covariance from a long fixed-point
 loop with its own update formula, and semi-Markov statistics from jump-level
-sampling that never touches the cascaded chain.
+sampling that never touches the cascaded chain.  The one exception is
+``per_cell_sweep_factors``, the slow reference for the batched sweep: it
+rebuilds each cell's chain through the channel model and calls the
+production current-CSI factor cell by cell.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -177,3 +181,33 @@ def harvest_cycles(
         ok = lengths <= max_len
         np.add.at(length_counts, (opens[ok], lengths[ok] - 1), 1)
     return open_counts, length_counts
+
+
+def per_cell_sweep_factors(loaded, grid: tuple[int, int]) -> np.ndarray:
+    """Sweep factors one cell at a time, each from a freshly overridden chain.
+
+    Level axes rewrite the channel model's per-level table and re-lift it to
+    the cascaded states; cascade axes overwrite single cascaded entries.
+    """
+    from remest.channel import lift_quality_drops
+    from remest.stability import current_csi_factor
+
+    scenario = loaded.scenario
+    channel, chain = scenario.channel, scenario.chain
+    axes = loaded.sweep.axes
+    values = [np.linspace(ax.lo, ax.hi, count) for ax, count in zip(axes, grid)]
+    factor = np.empty(grid)
+    for i, v1 in enumerate(values[0]):
+        for j, v2 in enumerate(values[1]):
+            if all(ax.kind == "level" for ax in axes):
+                table = [list(row) for row in channel.level_drops]
+                for ax, v in zip(axes, (v1, v2)):
+                    table[ax.frequency - 1][ax.target - 1] = float(v)
+                model = replace(channel, level_drops=tuple(tuple(r) for r in table))
+                drops = lift_quality_drops(model.quality_drop_table(), channel.max_holding)
+            else:
+                drops = chain.drops.copy()
+                for ax, v in zip(axes, (v1, v2)):
+                    drops[ax.target, ax.frequency - 1] = float(v)
+            factor[i, j], _ = current_csi_factor(chain.with_drops(drops))
+    return factor

@@ -302,6 +302,27 @@ class TestSampling:
         assert all(sample_next(chain, 0, rng) == 1 for _ in range(50))
         assert all(sample_next(chain, 1, rng) == 0 for _ in range(50))
 
+    def test_draw_above_short_row_sum_stays_on_support(self):
+        # rows sum to 0.9999995, inside the 1e-6 tolerance; the last cascaded
+        # state (1, 2) has probability 0 from (0, 1)
+        ch = SemiMarkovChannelModel(
+            levels_per_frequency=(2,),
+            transition=[[0.5, 0.4999995], [0.4999995, 0.5]],
+            holding_pmf=[0.5, 0.5],
+            level_drops=((0.1, 0.2),),
+        )
+        chain = build_cascaded_chain(ch)
+        assert chain.transition[0, 3] == 0.0
+        last_positive = 2
+
+        class StubRng:
+            def random(self, size=None):
+                return 0.9999999 if size is None else np.full(size, 0.9999999)
+
+        assert sample_next(chain, 0, StubRng()) == last_positive
+        paths = sample_paths(chain, np.zeros(3, dtype=int), 1, StubRng())
+        np.testing.assert_array_equal(paths[:, 1], last_positive)
+
     def test_empirical_frequencies_binomial(self, rng):
         chain = build_cascaded_chain(example_channel(psi1=0.6))
         start = 0

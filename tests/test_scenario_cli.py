@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
-from remest import ScenarioParseError, ScenarioValidationError
+from remest import NonConvergentError, ScenarioParseError, ScenarioValidationError
 from remest.cli import main
 from remest.scenario import (
     bundled_scenario_path,
@@ -10,12 +10,33 @@ from remest.scenario import (
     load_scenario,
     parse_scenario_dict,
 )
-from remest.sweep import apply_axes, compare_csi, sweep_simulated, sweep_stability
+from remest.sweep import (
+    apply_axes,
+    compare_csi,
+    sweep_simulated,
+    sweep_stability,
+    write_sweep_csv,
+)
+
+from oracles import per_cell_sweep_factors
 
 
 def bundled_dict():
     with open(bundled_scenario_path(), "rb") as fh:
         return yaml.safe_load(fh)
+
+
+def per_cascade_sweep_scenario():
+    """Bundled scenario with a per-cascaded-state drop table and two state axes."""
+    data = bundled_dict()
+    data["drops"] = {
+        "per_cascade": [[0.1 * (k % 5) + 0.05, 0.9 - 0.1 * k] for k in range(8)]
+    }
+    data["sweep"]["axes"] = [
+        {"state": 1, "frequency": 1, "min": 0.0, "max": 1.0},
+        {"state": 6, "frequency": 2, "min": 0.2, "max": 0.7},
+    ]
+    return parse_scenario_dict(data)
 
 
 class TestLoadScenario:
@@ -158,17 +179,40 @@ class TestSweep:
         assert res.factor[1, 1] == pytest.approx(1.0, abs=1e-12)
         assert res.verdict[1, 1] == "unstable"
 
-    def test_workers_match_serial(self, tmp_path):
-        from remest.sweep import write_sweep_csv
-
+    def test_batched_sweep_matches_per_cell_oracle(self, tmp_path):
         loaded = load_bundled_scenario()
-        serial = sweep_stability(loaded, grid=(9, 9), workers=1)
-        parallel = sweep_stability(loaded, grid=(9, 9), workers=2)
-        np.testing.assert_array_equal(serial.factor, parallel.factor)
+        # non-square grid, so a row/column transposition cannot pass
+        res = sweep_stability(loaded, grid=(7, 5))
+        assert np.array_equal(res.factor, per_cell_sweep_factors(loaded, (7, 5)))
+
+        cascaded = per_cascade_sweep_scenario()
+        res_c = sweep_stability(cascaded, grid=(6, 4))
+        assert np.array_equal(res_c.factor, per_cell_sweep_factors(cascaded, (6, 4)))
+
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(serial, p1)
-        write_sweep_csv(parallel, p2)
+        write_sweep_csv(res, p1)
+        write_sweep_csv(sweep_stability(loaded, grid=(7, 5)), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_eigensolve_failure_falls_back_per_cell(self, monkeypatch):
+        loaded = load_bundled_scenario()
+        real_eigvals = np.linalg.eigvals
+
+        def batched_fails(a):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", batched_fails)
+        res = sweep_stability(loaded, grid=(4, 3))
+        assert np.array_equal(res.factor, per_cell_sweep_factors(loaded, (4, 3)))
+
+        def always_fails(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", always_fails)
+        with pytest.raises(NonConvergentError):
+            sweep_stability(loaded, grid=(2, 2))
 
     def test_compare_csi_ordering(self):
         loaded = load_bundled_scenario()
