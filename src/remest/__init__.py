@@ -57,7 +57,6 @@ from .sim import (
     Scenario,
     SimSummary,
     full_physics_run,
-    greedy_frequency_for,
     make_policy,
     run,
     step,

@@ -27,7 +27,6 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
-import networkx as nx
 import numpy as np
 
 from .errors import (
@@ -40,6 +39,7 @@ from .errors import (
 )
 
 _ROW_SUM_TOL = 1e-6  # inputs beyond this are rejected, never renormalized
+_STATIONARY_TOL = 1e-10
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -226,6 +226,9 @@ class CascadedChain:
     Samplers invert ``_cum_rows``, the cumulative row sums set to +inf from
     each row's last positive column on: rows may sum to 1 - 1e-6, and a draw
     above the sum must land there, not on a zero-probability state.
+    ``_stationary`` holds :func:`chain_stationary` at its default tolerance
+    once computed.  The transition matrix never changes, so :meth:`with_drops`
+    shares the holder: a result computed on any copy serves them all.
     """
 
     states: tuple[tuple[int, int], ...]
@@ -236,6 +239,7 @@ class CascadedChain:
     unreachable: frozenset[int] = frozenset()
     _cum_rows: np.ndarray = field(default=None, repr=False, compare=False)
     _cum_tuples: tuple = field(default=None, repr=False, compare=False)
+    _stationary: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         if self._cum_rows is None:
@@ -257,13 +261,6 @@ class CascadedChain:
     def num_frequencies(self) -> int:
         return self.drops.shape[1]
 
-    def index_of(self, quality: int, delta: int) -> int:
-        if not 0 <= quality < self.num_quality_states:
-            raise ValueError(f"quality state {quality} out of range")
-        if not 1 <= delta <= self.max_holding:
-            raise ValueError(f"delta {delta} out of range")
-        return quality * self.max_holding + (delta - 1)
-
     def with_drops(self, drops: np.ndarray) -> "CascadedChain":
         """Same chain with a replacement per-cascaded-state drop table."""
         drops = _as_matrix(drops, "drops")
@@ -272,7 +269,7 @@ class CascadedChain:
                 f"drops must be {self.drops.shape}, got {drops.shape}"
             )
         _check_probabilities(drops, "drops")
-        return replace(self, drops=drops)  # carries the sampling tables over
+        return replace(self, drops=drops)  # shares the sampling tables and pi
 
 
 def lift_quality_drops(
@@ -287,18 +284,35 @@ def lift_quality_drops(
     return np.repeat(quality_table, max_holding, axis=0)
 
 
+def _bfs_levels(adj: np.ndarray) -> np.ndarray:
+    """Breadth-first distance from node 0 along ``adj``; -1 where unreached."""
+    level = np.full(adj.shape[0], -1)
+    frontier = np.zeros(adj.shape[0], dtype=bool)
+    frontier[0] = True
+    depth = 0
+    while frontier.any():
+        level[frontier] = depth
+        frontier = adj[frontier].any(axis=0) & (level < 0)
+        depth += 1
+    return level
+
+
 def _validate_chain(transition: np.ndarray, feasible: list[int]) -> None:
-    graph = nx.DiGraph()
-    graph.add_nodes_from(feasible)
-    for i in feasible:
-        for j in feasible:
-            if transition[i, j] > 0.0:
-                graph.add_edge(i, j)
-    if not nx.is_strongly_connected(graph):
+    """Require the chain restricted to ``feasible`` to be irreducible and aperiodic.
+
+    Strongly connected iff node 0 reaches every node both along the edges
+    and against them.  The period of a strongly connected graph is the gcd
+    of ``level[u] + 1 - level[v]`` over its edges, for breadth-first levels
+    from any node.
+    """
+    adj = transition[np.ix_(feasible, feasible)] > 0.0
+    level = _bfs_levels(adj)
+    if np.any(level < 0) or np.any(_bfs_levels(adj.T) < 0):
         raise NotIrreducibleError(
             "cascaded chain is not irreducible on its reachable states"
         )
-    if not nx.is_aperiodic(graph):
+    src, dst = np.nonzero(adj)
+    if np.gcd.reduce(level[src] + 1 - level[dst]) != 1:
         raise PeriodicChainError("cascaded chain is periodic on its reachable states")
 
 
@@ -416,18 +430,25 @@ def sample_paths(
     return out
 
 
-def chain_stationary(chain: CascadedChain, tol: float = 1e-10) -> np.ndarray:
-    """Stationary distribution over cascaded states (zeros on unreachable ones)."""
-    if not chain.unreachable:
-        return stationary_distribution(chain.transition, tol)
+def chain_stationary(chain: CascadedChain, tol: float = _STATIONARY_TOL) -> np.ndarray:
+    """Stationary distribution over cascaded states (zeros on unreachable ones).
+
+    The result at the default ``tol`` is computed once per chain and returned
+    read-only on every later call.
+    """
+    default_tol = tol == _STATIONARY_TOL
+    if default_tol and chain._stationary:
+        return chain._stationary[0]
     feasible = [k for k in range(chain.num_states) if k not in chain.unreachable]
-    sub = chain.transition[np.ix_(feasible, feasible)]
     pi = np.zeros(chain.num_states)
-    pi[feasible] = stationary_distribution(sub, tol)
+    pi[feasible] = stationary_distribution(chain.transition[np.ix_(feasible, feasible)], tol)
+    if default_tol:
+        pi.flags.writeable = False
+        chain._stationary.append(pi)
     return pi
 
 
-def stationary_distribution(p: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def stationary_distribution(p: np.ndarray, tol: float = _STATIONARY_TOL) -> np.ndarray:
     """Stationary probability vector of an irreducible aperiodic chain.
 
     Solves the balance equations together with the normalization constraint

@@ -173,12 +173,11 @@ def propagate_covariance(model: ProcessModel, x, steps: int = 1) -> np.ndarray:
     return x
 
 
-def spectral_radius(x, tol: float = 1e-12) -> float:
+def spectral_radius(x) -> float:
     """Largest eigenvalue magnitude of a square matrix.
 
     Uses a dense eigensolve, which is exact to machine precision for the
-    matrix sizes this package handles; ``tol`` is accepted for interface
-    stability.  Deterministic for a fixed input.
+    matrix sizes this package handles.  Deterministic for a fixed input.
     """
     a = np.asarray(x, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -225,10 +224,6 @@ class CostFunction:
             self._scaled = [(kf.covariance.copy(), -math.inf)]
         self._log_traces: list[float] = [self._scaled[0][1]]
 
-    @property
-    def process_index(self) -> int:
-        return self.model.index
-
     def _extend_plain(self, i: int) -> None:
         while len(self._plain) <= i:
             last = self._plain[-1]
@@ -259,19 +254,13 @@ class CostFunction:
                 self._scaled.append((y, -math.inf))
             self._log_traces.append(self._scaled[-1][1])
 
-    def cost(self, i: int, fresh: bool = False) -> float:
+    def cost(self, i: int) -> float:
         """Trace of the ``i``-step propagated steady covariance, ``i >= 1``.
 
-        ``fresh=True`` bypasses the memo and recomputes from scratch (used to
-        cross-check memoization).  Ages beyond float range return ``inf``;
-        use :meth:`log_cost` there.
+        Ages beyond float range return ``inf``; use :meth:`log_cost` there.
         """
         if i < 1:
             raise ValueError("AoI must be >= 1")
-        if fresh:
-            return float(
-                np.trace(propagate_covariance(self.model, self.steady_covariance, i))
-            )
         if i < len(self._traces):
             return self._traces[i]
         self._extend_plain(i)
@@ -289,19 +278,19 @@ class CostFunction:
         self._extend_scaled(i)
         return self._log_traces[i]
 
+    def tables(self, i_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`cost` and :meth:`log_cost` at ages ``0..i_max``; entry 0 is NaN.
+
+        Read from the memo tracks, so entry ``i`` equals ``cost(i)`` and
+        ``log_cost(i)`` bit for bit.
+        """
+        self.precompute(i_max)
+        plain = self._traces[1 : i_max + 1]
+        logs = self._log_traces[1 : i_max + 1]
+        tail = [math.exp(x) if x < _LOG_MAX_FLOAT else math.inf for x in logs[len(plain) :]]
+        return np.array([math.nan] + plain + tail), np.array([math.nan] + logs)
+
     def precompute(self, i_max: int) -> None:
         """Populate both memo tracks up to ``i_max`` (e.g. before sharing)."""
         self._extend_plain(i_max)
         self._extend_scaled(i_max)
-
-    def growth_rate(self, i_max: int) -> float:
-        """Empirical exponential growth rate of the cost in log space.
-
-        Returns ``(log c(i_max) - log c(i_max // 2)) / (2 (i_max - i_max // 2))``,
-        which converges to ``log rho(A)`` as ``i_max`` grows for plants with
-        ``rho(A) >= 1``.
-        """
-        if i_max < 10:
-            raise ValueError("i_max must be >= 10")
-        half = i_max // 2
-        return (self.log_cost(i_max) - self.log_cost(half)) / (2.0 * (i_max - half))

@@ -1,37 +1,36 @@
 """Slot-level Monte Carlo simulator of the scheduled remote-estimation system.
 
-Each slot, a scheduling policy observes the AoI vector and the current
-cascaded channel state, assigns at most one sensor to each of the M
-frequencies, and each scheduled transmission independently fails with the
-drop probability of (channel state, frequency).  A success resets that
-sensor's AoI to 1 on the next slot, otherwise it grows by one, and the
-channel advances along the cascaded chain.
+Each slot, a scheduling policy sees the AoI vector and the current cascaded
+channel state and assigns at most one sensor to each of the M frequencies;
+each scheduled transmission fails with the drop probability of (channel
+state, frequency).  A success resets that sensor's AoI to 1 on the next
+slot, otherwise it grows by one, and the channel advances along the
+cascaded chain.
 
-The default mode scores a run by the analytic per-age cost of each process;
-the full-physics mode additionally simulates plant states, measurements and
-both estimators, to check the per-age cost against the empirical squared
-error.  Cost totals are accumulated both with compensated summation and in
-log space, so diverging runs report growth rather than infinities.
+One engine advances every run in chunks of slots.  It draws each chunk's
+uniforms as one block, in the order a slot-by-slot loop would draw them,
+and asks the policy for the chunk's whole action matrix.  Costs come from
+per-sensor AoI occupancy histograms, scored in log space when the linear
+value overflows, so diverging runs report growth rather than infinities.
+The full-physics mode observes the same chunks and checks the per-age cost
+against the empirical squared error of simulated plants.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (
-    CascadedChain,
-    SemiMarkovChannelModel,
-    build_cascaded_chain,
-    chain_stationary,
-    sample_next,
-)
+from .channel import CascadedChain, SemiMarkovChannelModel, build_cascaded_chain, chain_stationary
 from .errors import InvalidActionError
 from .process import CostFunction, ProcessModel
 
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
+_CHUNK = 1 << 16  # slots per engine step; bounds memory for any horizon
 
 
 @dataclass(frozen=True)
@@ -86,15 +85,42 @@ def frequency_ranking(chain: CascadedChain) -> np.ndarray:
     return np.argsort(chain.drops, axis=1, kind="stable") + 1
 
 
-def greedy_frequency_for(chain: CascadedChain, channel_state: int, rank: int = 1) -> int:
-    """The rank-th most reliable frequency in the given channel state."""
-    if not 1 <= rank <= chain.num_frequencies:
-        raise ValueError(f"rank must be in 1..{chain.num_frequencies}")
-    order = np.argsort(chain.drops[channel_state], kind="stable")
-    return int(order[rank - 1]) + 1
+class _RankedPolicy:
+    """What the built-in policies share: each slot's frequencies by reliability.
+
+    ``plan`` returns the actions of a whole chunk of slots at once and keeps
+    the policy's state consistent with ``select``/``observe`` slot by slot.
+    """
+
+    def __init__(self, num_sensors: int, chain: CascadedChain):
+        self.num_sensors = num_sensors
+        self._ranking = frequency_ranking(chain)
+        self._k = min(chain.num_frequencies, num_sensors)
+        self._pointer = 0
+
+    def reset(self) -> None:
+        self._pointer = 0
+
+    def select(self, aoi: np.ndarray, channel_state: int) -> np.ndarray:
+        """One slot's actions: ``plan`` for a slot that delivers nothing.
+
+        Deliveries reach the policy afterwards through :meth:`observe`.
+        """
+        nothing = np.zeros((1, self._ranking.shape[1]), dtype=bool)
+        return self.plan(np.asarray(aoi), np.array([channel_state]), nothing)[0]
+
+    def observe(self, outcomes: np.ndarray) -> None:
+        pass
+
+    def _assign(self, path: np.ndarray, sensors: np.ndarray) -> np.ndarray:
+        """Action matrix giving ``sensors[t, r]`` the rank-r frequency of slot t."""
+        actions = np.zeros((len(path), self.num_sensors), dtype=int)
+        rows = np.arange(len(path))[:, None]
+        actions[rows, sensors] = self._ranking[path, : sensors.shape[1]]
+        return actions
 
 
-class PersistentSerialPolicy:
+class PersistentSerialPolicy(_RankedPolicy):
     """Transmit one sensor repeatedly until it succeeds, then move on.
 
     Sensors are served in ascending index order, each on the most reliable
@@ -104,25 +130,19 @@ class PersistentSerialPolicy:
 
     name = "persistent-serial"
 
-    def __init__(self, num_sensors: int, chain: CascadedChain):
-        self.num_sensors = num_sensors
-        self._ranking = frequency_ranking(chain)
-        self._pointer = 0
-
-    def reset(self) -> None:
-        self._pointer = 0
-
-    def select(self, aoi: np.ndarray, channel_state: int) -> np.ndarray:
-        actions = np.zeros(self.num_sensors, dtype=int)
-        actions[self._pointer] = self._ranking[channel_state, 0]
-        return actions
-
     def observe(self, outcomes: np.ndarray) -> None:
         if outcomes[self._pointer]:
             self._pointer = (self._pointer + 1) % self.num_sensors
 
+    def plan(self, aoi: np.ndarray, path: np.ndarray, success: np.ndarray) -> np.ndarray:
+        """The served sensor is the count of successes so far, mod N."""
+        hit = success[np.arange(len(path)), self._ranking[path, 0] - 1]
+        served = (self._pointer + np.cumsum(hit) - hit) % self.num_sensors
+        self._pointer = int(served[-1] + hit[-1]) % self.num_sensors
+        return self._assign(path, served[:, None])
 
-class GreedyTopKPolicy:
+
+class GreedyTopKPolicy(_RankedPolicy):
     """Schedule the sensors whose current cost is largest, best channel first.
 
     A baseline that exercises parallel frequency use: the k = min(M, N)
@@ -135,51 +155,44 @@ class GreedyTopKPolicy:
 
     def __init__(self, cost_functions, chain: CascadedChain):
         self.cost_functions = tuple(cost_functions)
-        self.num_sensors = len(self.cost_functions)
-        self._ranking = frequency_ranking(chain)
-        self._k = min(chain.num_frequencies, self.num_sensors)
+        super().__init__(len(self.cost_functions), chain)
+        self._log_costs: list[list[float]] = [[] for _ in self.cost_functions]
 
-    def reset(self) -> None:
-        pass
+    def _order(self, ages: list[int]) -> list[int]:
+        """The k sensors of largest log cost, ties toward the lower index."""
+        top = max(ages)
+        if top >= len(self._log_costs[0]):  # grow the tables by doubling
+            self._log_costs = [
+                cf.tables(max(2 * top, 64))[1].tolist() for cf in self.cost_functions
+            ]
+        keys = [-self._log_costs[i][a] for i, a in enumerate(ages)]
+        return sorted(range(self.num_sensors), key=keys.__getitem__)[: self._k]
 
-    def select(self, aoi: np.ndarray, channel_state: int) -> np.ndarray:
-        logs = np.array(
-            [cf.log_cost(int(age)) for cf, age in zip(self.cost_functions, aoi)]
-        )
-        order = np.lexsort((np.arange(self.num_sensors), -logs))
-        actions = np.zeros(self.num_sensors, dtype=int)
-        for rank, sensor in enumerate(order[: self._k]):
-            actions[sensor] = self._ranking[channel_state, rank]
-        return actions
+    def plan(self, aoi: np.ndarray, path: np.ndarray, success: np.ndarray) -> np.ndarray:
+        """Slots are visited in order, because the AoI evolves with the outcomes."""
+        hits = np.take_along_axis(success, self._ranking[path, : self._k] - 1, axis=1)
+        ages = aoi.tolist()
+        served = []
+        for hit in hits.tolist():
+            order = self._order(ages)
+            served.append(order)
+            ages = [a + 1 for a in ages]
+            for rank, sensor in enumerate(order):
+                if hit[rank]:
+                    ages[sensor] = 1
+        return self._assign(path, np.array(served))
 
-    def observe(self, outcomes: np.ndarray) -> None:
-        pass
 
-
-class RoundRobinPolicy:
+class RoundRobinPolicy(_RankedPolicy):
     """Cycle through sensors in fixed order, k = min(M, N) per slot."""
 
     name = "round-robin"
 
-    def __init__(self, num_sensors: int, chain: CascadedChain):
-        self.num_sensors = num_sensors
-        self._ranking = frequency_ranking(chain)
-        self._k = min(chain.num_frequencies, num_sensors)
-        self._pointer = 0
-
-    def reset(self) -> None:
-        self._pointer = 0
-
-    def select(self, aoi: np.ndarray, channel_state: int) -> np.ndarray:
-        actions = np.zeros(self.num_sensors, dtype=int)
-        for rank in range(self._k):
-            sensor = (self._pointer + rank) % self.num_sensors
-            actions[sensor] = self._ranking[channel_state, rank]
-        self._pointer = (self._pointer + self._k) % self.num_sensors
-        return actions
-
-    def observe(self, outcomes: np.ndarray) -> None:
-        pass
+    def plan(self, aoi: np.ndarray, path: np.ndarray, success: np.ndarray) -> np.ndarray:
+        """Closed form: slot t starts at sensor pointer + t k, mod N."""
+        first = self._pointer + self._k * np.arange(len(path))
+        self._pointer = int(first[-1] + self._k) % self.num_sensors
+        return self._assign(path, (first[:, None] + np.arange(self._k)) % self.num_sensors)
 
 
 POLICIES = {
@@ -239,35 +252,105 @@ def initial_state(
     )
 
 
-def _apply_actions(
-    state: SimState, scenario: Scenario, actions
-) -> np.ndarray:
-    """Validate actions, draw outcomes, and return the success vector.
-
-    One uniform is consumed per frequency (whether or not it is used), so
-    outcome randomness does not depend on the policy.
-    """
-    n = scenario.num_sensors
-    m = scenario.num_frequencies
+def _check_actions(actions, n: int, m: int) -> None:
+    """Raise :class:`InvalidActionError` for the first fault in one action vector."""
     if len(actions) != n:
         raise InvalidActionError(f"action vector must have length {n}")
-    draws = state.rng.random(m)
-    drop_row = scenario.chain.drops[state.channel_state]
-    outcomes = np.zeros(n, dtype=bool)
-    used = 0
-    for i in range(n):
-        a = int(actions[i])
-        if a == 0:
-            continue
+    used = set()
+    for a in map(int, actions):
         if a < 0 or a > m:
             raise InvalidActionError(f"action {a} outside 0..{m}")
-        bit = 1 << a
-        if used & bit:
+        if a != 0 and a in used:
             raise InvalidActionError(f"frequency {a} assigned to more than one sensor")
-        used |= bit
-        if draws[a - 1] >= drop_row[a - 1]:
-            outcomes[i] = True
-    return outcomes
+        used.add(a)
+
+
+def _select_each(policy, aoi: np.ndarray, path: np.ndarray, success: np.ndarray) -> np.ndarray:
+    """Actions of a policy without ``plan``, by ``select``/``observe`` per slot."""
+    n, m = aoi.size, success.shape[1]
+    actions = np.zeros((len(path), n), dtype=int)
+    ages = aoi.copy()
+    for t, channel_state in enumerate(path.tolist()):
+        row = policy.select(ages, channel_state)
+        _check_actions(row, n, m)
+        actions[t] = row
+        hit = (actions[t] > 0) & success[t, np.maximum(actions[t], 1) - 1]
+        policy.observe(hit)
+        ages = np.where(hit, 1, ages + 1)
+    return actions
+
+
+# consecutive slots of a run from slot ``start`` on, one array row per slot:
+# channel state, actions, outcomes and the AoI before the slot's transmissions
+_Chunk = namedtuple("_Chunk", "start path actions outcomes aoi")
+
+
+def _advance(state: SimState, scenario: Scenario, policy, k: int) -> _Chunk:
+    """Simulate the next ``k`` slots, updating ``state`` in place."""
+    chain = scenario.chain
+    m = scenario.num_frequencies
+    draws = state.rng.random((k, m + 1))
+    cum = chain._cum_tuples
+    current = state.channel_state
+    visited = []
+    visit = visited.append
+    for u in draws[:, m].tolist():
+        visit(current)
+        current = bisect_right(cum[current], u)
+    path = np.array(visited)
+    success = draws[:, :m] >= chain.drops[path]
+
+    plan = getattr(policy, "plan", None)
+    if plan is None:
+        actions = _select_each(policy, state.aoi, path, success)
+    else:
+        actions = plan(state.aoi, path, success)
+    bad = ((actions < 0) | (actions > m)).any(axis=1)
+    for freq in range(1, m + 1):
+        bad |= (actions == freq).sum(axis=1) > 1
+    if bad.any():
+        _check_actions(actions[np.argmax(bad)], scenario.num_sensors, m)
+    slots = np.arange(state.slot, state.slot + k)[:, None]
+    outcomes = (actions > 0) & success[slots - state.slot, np.maximum(actions, 1) - 1]
+
+    # slot of each sensor's latest success; the AoI is the distance to it
+    before = state.slot - state.aoi
+    latest = np.maximum.accumulate(np.where(outcomes, slots, before), axis=0)
+    aoi = slots - np.concatenate([before[None], latest[:-1]])
+    chunk = _Chunk(start=state.slot, path=path, actions=actions, outcomes=outcomes, aoi=aoi)
+    state.aoi[:] = state.slot + k - latest[-1]
+    state.channel_state = current
+    state.slot += k
+    return chunk
+
+
+def _chunks(state: SimState, scenario: Scenario, policy, horizon: int, stops=()):
+    """Advance ``horizon`` slots in chunks, ending a chunk at every stop slot."""
+    done = 0
+    for stop in sorted({c for c in stops if 1 <= c < horizon} | {horizon}):
+        while done < stop:
+            k = min(_CHUNK, stop - done)
+            yield _advance(state, scenario, policy, k)
+            done += k
+
+
+def _records(chunk: _Chunk, scenario: Scenario, count: int):
+    """Slot records of the chunk's first ``count`` slots."""
+    aoi = chunk.aoi[:count]
+    top = int(aoi.max(initial=1))
+    costs = np.stack(
+        [cf.tables(top)[0][aoi[:, i]] for i, cf in enumerate(scenario.cost_functions)],
+        axis=1,
+    )
+    for t, channel_state in enumerate(chunk.path[:count].tolist()):
+        yield SlotRecord(
+            slot=chunk.start + t,
+            channel_state=channel_state,
+            actions=chunk.actions[t].copy(),
+            outcomes=chunk.outcomes[t].copy(),
+            aoi=aoi[t].copy(),
+            costs=costs[t].copy(),
+        )
 
 
 def step(
@@ -279,69 +362,56 @@ def step(
     a success resets the sensor's AoI to 1 for the next slot, any other
     sensor's AoI grows by one, and the channel advances one transition.
     """
-    actions = policy.select(state.aoi, state.channel_state)
-    outcomes = _apply_actions(state, scenario, actions)
-    policy.observe(outcomes)
+    chunk = _advance(state, scenario, policy, 1)
+    return state, next(_records(chunk, scenario, 1)) if want_record else None
 
-    record = None
-    if want_record:
-        costs = np.array(
-            [cf.cost(int(age)) for cf, age in zip(scenario.cost_functions, state.aoi)]
+
+class _Tally:
+    """Cycle lengths and per-sensor AoI occupancy histograms of a run so far."""
+
+    def __init__(self, scenario: Scenario):
+        self.cost_functions = scenario.cost_functions
+        self.cycles: list[list[np.ndarray]] = [[] for _ in range(scenario.num_sensors)]
+        self.occupancy = np.zeros((scenario.num_sensors, 2), dtype=np.int64)
+
+    def add(self, chunk: _Chunk) -> None:
+        aoi = chunk.aoi
+        for i, cycles in enumerate(self.cycles):
+            cycles.append(aoi[chunk.outcomes[:, i], i])  # cycle length = AoI at success
+        n, width = self.occupancy.shape
+        width = max(width, int(aoi.max()) + 1)
+        flat = (aoi + width * np.arange(n)).ravel()
+        counts = np.bincount(flat, minlength=n * width).reshape(n, width)
+        counts[:, : self.occupancy.shape[1]] += self.occupancy
+        self.occupancy = counts
+
+    def costs(self, slots: int) -> tuple[np.ndarray, np.ndarray, bool]:
+        """Per-sensor average cost, its log, and whether any cost overflowed."""
+        avg, log_avg = [], []
+        saturated = False
+        for counts, cf in zip(self.occupancy, self.cost_functions):
+            ages = np.flatnonzero(counts)
+            lin, log = (table[ages] for table in cf.tables(int(ages[-1])))
+            log_avg.append(np.logaddexp.reduce(log + np.log(counts[ages])) - math.log(slots))
+            if np.isinf(lin).any():
+                saturated = True
+                avg.append(math.exp(log_avg[-1]) if log_avg[-1] < _LOG_MAX_FLOAT else math.inf)
+            else:
+                avg.append(counts[ages] @ lin / slots)
+        return np.array(avg), np.array(log_avg), saturated
+
+    def summary(self, policy, horizon: int, seed, **extra) -> "SimSummary":
+        avg, log_avg, saturated = self.costs(horizon)
+        return SimSummary(
+            horizon=horizon,
+            seed=seed,
+            policy=getattr(policy, "name", type(policy).__name__),
+            avg_cost=avg,
+            log_avg_cost=log_avg,
+            cycle_lengths=tuple(np.concatenate(c) for c in self.cycles),
+            saturated=saturated,
+            **extra,
         )
-        record = SlotRecord(
-            slot=state.slot,
-            channel_state=state.channel_state,
-            actions=np.asarray(actions, dtype=int).copy(),
-            outcomes=outcomes.copy(),
-            aoi=state.aoi.copy(),
-            costs=costs,
-        )
-
-    aoi = state.aoi
-    for i in range(scenario.num_sensors):
-        aoi[i] = 1 if outcomes[i] else aoi[i] + 1
-    state.channel_state = sample_next(scenario.chain, state.channel_state, state.rng)
-    state.slot += 1
-    return state, record
-
-
-class _CostAccumulator:
-    """Kahan-compensated linear sum plus a log-space shadow total."""
-
-    __slots__ = ("total", "_comp", "log_total", "saturated")
-
-    def __init__(self):
-        self.total = 0.0
-        self._comp = 0.0
-        self.log_total = -math.inf
-        self.saturated = False
-
-    def add(self, value: float, log_value: float) -> None:
-        hi, lo = self.log_total, log_value
-        if lo > hi:
-            hi, lo = lo, hi
-        if hi == -math.inf:
-            pass  # both empty
-        elif lo == -math.inf:
-            self.log_total = hi
-        else:
-            self.log_total = hi + math.log1p(math.exp(lo - hi))
-        if not self.saturated and value < math.inf:
-            y = value - self._comp
-            t = self.total + y
-            self._comp = (t - self.total) - y
-            self.total = t
-        else:
-            self.saturated = True
-
-    def average(self, horizon: int) -> float:
-        if self.saturated:
-            log_avg = self.log_total - math.log(horizon)
-            return math.exp(log_avg) if log_avg < _LOG_MAX_FLOAT else math.inf
-        return self.total / horizon
-
-    def log_average(self, horizon: int) -> float:
-        return self.log_total - math.log(horizon)
 
 
 @dataclass(frozen=True)
@@ -372,9 +442,6 @@ class SimSummary:
 
     @property
     def log_total_cost(self) -> float:
-        finite = self.log_avg_cost[np.isfinite(self.log_avg_cost)]
-        if finite.size == 0:
-            return -math.inf
         return float(np.logaddexp.reduce(self.log_avg_cost))
 
 
@@ -410,52 +477,91 @@ def run(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    n = scenario.num_sensors
     state = initial_state(scenario, seed, initial_channel_state)
     policy.reset()
-    accs = [_CostAccumulator() for _ in range(n)]
-    cost_fns = scenario.cost_functions
-    cycles: list[list[int]] = [[] for _ in range(n)]
-    last_success = [0] * n
+    tally = _Tally(scenario)
+    last_recorded = horizon if record_limit is None else record_limit
     checkpoint_set = {int(c) for c in checkpoints}
     checkpoint_log: dict[int, float] = {}
-
-    sensors = range(n)
-    for t in range(1, horizon + 1):
-        for i in sensors:
-            age = int(state.aoi[i])
-            accs[i].add(cost_fns[i].cost(age), cost_fns[i].log_cost(age))
-        want = record_hook is not None and (record_limit is None or t <= record_limit)
-        state, record = step(state, scenario, policy, want_record=want)
-        if want:
-            record_hook(record)
-        # step() already advanced slot/aoi; successes are where aoi reset to 1
-        for i in sensors:
-            if state.aoi[i] == 1:
-                cycles[i].append(t - last_success[i])
-                last_success[i] = t
-        if t in checkpoint_set:
-            logs = np.array([a.log_average(t) for a in accs])
-            checkpoint_log[t] = float(np.logaddexp.reduce(logs))
-
-    avg = np.array([a.average(horizon) for a in accs])
-    log_avg = np.array([a.log_average(horizon) for a in accs])
-    return SimSummary(
-        horizon=horizon,
-        seed=seed,
-        policy=getattr(policy, "name", type(policy).__name__),
-        avg_cost=avg,
-        log_avg_cost=log_avg,
-        cycle_lengths=tuple(np.array(c, dtype=int) for c in cycles),
-        checkpoint_log_total=checkpoint_log,
-        saturated=any(a.saturated for a in accs),
-    )
+    for chunk in _chunks(state, scenario, policy, horizon, checkpoint_set):
+        tally.add(chunk)
+        end = state.slot - 1
+        if record_hook is not None and chunk.start <= last_recorded:
+            for record in _records(chunk, scenario, min(end, last_recorded) - chunk.start + 1):
+                record_hook(record)
+        if end in checkpoint_set:
+            _, logs, _ = tally.costs(end)
+            checkpoint_log[end] = float(np.logaddexp.reduce(logs))
+    return tally.summary(policy, horizon, seed, checkpoint_log_total=checkpoint_log)
 
 
 def _psd_factor(mat: np.ndarray) -> np.ndarray:
     """Square root factor L with L L' = mat, valid for any symmetric PSD input."""
     vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
+def _linear_recurrence(mat: np.ndarray, drive: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Rows ``x[t] = mat @ x[t-1] + drive[t]`` with ``x[-1] = start``.
+
+    Doubling passes: after the pass with shift s every row holds the sum over
+    its last 2s drive rows, so log2(len) vectorized passes replace the loop.
+    A power that reaches exactly zero adds nothing more and ends the passes.
+    """
+    x = drive.copy()
+    x[0] += mat @ start
+    power = mat
+    shift = 1
+    while shift < len(x) and power.any():
+        x[shift:] = x[shift:] + x[:-shift] @ power.T
+        power = power @ power
+        shift *= 2
+    return x
+
+
+class _RemoteError:
+    """One plant's local filter error and its remote squared error by AoI.
+
+    Works in error coordinates (local estimation error plus the buffered
+    process noise), which reproduces ``remote estimate - true state`` exactly
+    while staying bounded even for unstable plants whose raw trajectories
+    would overflow:
+
+        local_err(t) = (I - K C)(A local_err(t-1) - w(t)) + K z(t)
+        remote_err(t) = A^age local_err(t - age) - sum_{j<age} A^j w(t - j)
+
+    With ``R_0 = local_err`` the second line is ``R_a(t) = A R_{a-1}(t-1) -
+    w(t)``, one vectorized pass per age; the last ``bucket_max`` rows of both
+    series carry over to the next chunk.
+    """
+
+    def __init__(self, process: ProcessModel, cost_fn: CostFunction, bucket_max: int):
+        d = process.state_dim
+        closed = np.eye(d) - cost_fn.kf.gain @ process.C
+        self.a, self.loop, self.bucket_max = process.A, closed @ process.A, bucket_max
+        # standard normals [w | z] to the noise w and to the filter's drive
+        self.w_map = _psd_factor(process.W).T
+        z_map = (cost_fn.kf.gain @ np.linalg.cholesky(process.Z)).T
+        self.drive_map = np.vstack([-self.w_map @ closed.T, z_map])
+        self.local_err = np.zeros(d)
+        self.err_hist = self.noise_hist = np.zeros((bucket_max, d))
+        self.counts = np.zeros(bucket_max + 1, dtype=np.int64)
+        self.sq_sums = np.zeros(bucket_max + 1)
+
+    def observe(self, noise: np.ndarray, aoi: np.ndarray, scored: np.ndarray) -> None:
+        """Consume one chunk: its standard normals and the plant's AoI per slot."""
+        w = noise[:, : len(self.local_err)] @ self.w_map
+        local = _linear_recurrence(self.loop, noise @ self.drive_map, self.local_err)
+        self.local_err = local[-1]
+        remote = errs = np.vstack([self.err_hist, local])
+        noises = np.vstack([self.noise_hist, w])
+        for age in range(1, self.bucket_max + 1):
+            remote = remote[:-1] @ self.a.T - noises[age:]
+            mask = scored & (aoi == age)
+            self.counts[age] += mask.sum()
+            self.sq_sums[age] += np.square(remote[-len(aoi) :][mask]).sum()
+        self.err_hist = errs[len(errs) - self.bucket_max :]
+        self.noise_hist = noises[len(noises) - self.bucket_max :]
 
 
 def full_physics_run(
@@ -469,103 +575,38 @@ def full_physics_run(
 ) -> SimSummary:
     """Simulate the plant/sensor physics and bucket the remote error by AoI.
 
-    Runs the same scheduling loop as :func:`run` while drawing the process
-    and measurement noises, propagating the steady-gain local filter, and
-    reconstructing the remote estimate from the last delivered local
-    estimate.  The dynamics are propagated in error coordinates (local
-    estimation error plus the buffered process noise), which reproduces
-    ``remote estimate - true state`` exactly while staying bounded even for
-    unstable plants whose raw trajectories would overflow:
-
-        local_err(t) = (I - K C)(A local_err(t-1) - w(t)) + K z(t)
-        remote_err(t) = A^age local_err(t - age) - sum_{j<age} A^j w(t - j)
-
+    Runs the same slots as :func:`run` with the same seed, so the schedule,
+    outcomes and cycle lengths are identical; the process and measurement
+    noises come from a child stream spawned from the seed.  Each plant
+    propagates its steady-gain local filter error and reconstructs the remote
+    error from the last delivered local estimate (see :class:`_RemoteError`).
     The first ``burn_in`` slots warm up the filter and are excluded from the
     buckets.  Squared remote errors are accumulated per AoI value up to
     ``bucket_max`` next to the analytic per-age cost they should match.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    n = scenario.num_sensors
-    chain = scenario.chain
     state = initial_state(scenario, seed, initial_channel_state)
+    noise_rng = np.random.default_rng(state.rng.bit_generator.seed_seq.spawn(1)[0])
     policy.reset()
-    cost_fns = scenario.cost_functions
-    accs = [_CostAccumulator() for _ in range(n)]
-    cycles: list[list[int]] = [[] for _ in range(n)]
-    last_success = [0] * n
-
-    dims = [p.state_dim for p in scenario.processes]
-    mdims = [p.measurement_dim for p in scenario.processes]
-    w_fact = [_psd_factor(p.W) for p in scenario.processes]
-    z_fact = [np.linalg.cholesky(p.Z) for p in scenario.processes]
-    gains = [cf.kf.gain for cf in cost_fns]
-    closed = [
-        (np.eye(dims[i]) - gains[i] @ p.C) for i, p in enumerate(scenario.processes)
+    tally = _Tally(scenario)
+    plants = [
+        _RemoteError(p, cf, bucket_max)
+        for p, cf in zip(scenario.processes, scenario.cost_functions)
     ]
-    a_pows: list[list[np.ndarray]] = []
-    for p in scenario.processes:
-        pows = [np.eye(p.state_dim)]
-        for _ in range(bucket_max):
-            pows.append(p.A @ pows[-1])
-        a_pows.append(pows)
+    edges = np.cumsum([0] + [p.state_dim + p.measurement_dim for p in scenario.processes])
+    for chunk in _chunks(state, scenario, policy, horizon):
+        tally.add(chunk)
+        k = len(chunk.path)
+        noise = noise_rng.standard_normal((k, edges[-1]))
+        scored = np.arange(chunk.start, chunk.start + k) > burn_in
+        for i, plant in enumerate(plants):
+            plant.observe(noise[:, edges[i] : edges[i + 1]], chunk.aoi[:, i], scored)
 
-    local_err = [np.zeros(d) for d in dims]
-    ring = bucket_max + 2
-    err_hist = [np.zeros((ring, d)) for d in dims]
-    noise_hist = [np.zeros((ring, d)) for d in dims]
-    counts = np.zeros((n, bucket_max + 1), dtype=int)
-    sq_sums = np.zeros((n, bucket_max + 1))
-
-    for t in range(1, horizon + 1):
-        for i in range(n):
-            proc = scenario.processes[i]
-            w = w_fact[i] @ state.rng.standard_normal(dims[i])
-            z = z_fact[i] @ state.rng.standard_normal(mdims[i])
-            local_err[i] = closed[i] @ (proc.A @ local_err[i] - w) + gains[i] @ z
-            err_hist[i][t % ring] = local_err[i]
-            noise_hist[i][t % ring] = w
-
-            age = int(state.aoi[i])
-            accs[i].add(cost_fns[i].cost(age), cost_fns[i].log_cost(age))
-            if t > burn_in and age <= bucket_max:
-                err = a_pows[i][age] @ err_hist[i][(t - age) % ring]
-                for j in range(age):
-                    err -= a_pows[i][j] @ noise_hist[i][(t - j) % ring]
-                counts[i, age] += 1
-                sq_sums[i, age] += float(err @ err)
-
-        actions = policy.select(state.aoi, state.channel_state)
-        outcomes = _apply_actions(state, scenario, actions)
-        policy.observe(outcomes)
-        aoi = state.aoi
-        for i in range(n):
-            if outcomes[i]:
-                cycles[i].append(t - last_success[i])
-                last_success[i] = t
-                aoi[i] = 1
-            else:
-                aoi[i] += 1
-        state.channel_state = sample_next(chain, state.channel_state, state.rng)
-        state.slot += 1
-
-    with np.errstate(invalid="ignore"):
-        mean_sq = np.where(counts > 0, sq_sums / np.maximum(counts, 1), np.nan)
-    predicted = np.zeros((n, bucket_max + 1))
-    for i in range(n):
-        for age in range(1, bucket_max + 1):
-            predicted[i, age] = cost_fns[i].cost(age)
+    counts = np.array([p.counts for p in plants])
+    sq_sums = np.array([p.sq_sums for p in plants])
+    mean_sq = np.where(counts > 0, sq_sums / np.maximum(counts, 1), np.nan)
+    predicted = np.array([cf.tables(bucket_max)[0] for cf in scenario.cost_functions])
+    predicted[:, 0] = 0.0
     buckets = MseBuckets(counts=counts, mean_sq=mean_sq, predicted=predicted)
-
-    avg = np.array([a.average(horizon) for a in accs])
-    log_avg = np.array([a.log_average(horizon) for a in accs])
-    return SimSummary(
-        horizon=horizon,
-        seed=seed,
-        policy=getattr(policy, "name", type(policy).__name__),
-        avg_cost=avg,
-        log_avg_cost=log_avg,
-        cycle_lengths=tuple(np.array(c, dtype=int) for c in cycles),
-        mse_buckets=buckets,
-        saturated=any(a.saturated for a in accs),
-    )
+    return tally.summary(policy, horizon, seed, mse_buckets=buckets)

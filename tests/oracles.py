@@ -5,10 +5,14 @@ radii come from Gelfand iteration or a full eigendecomposition instead of
 the production eigvals call, stationary vectors from matrix powers instead
 of the linear solve, the steady Kalman covariance from a long fixed-point
 loop with its own update formula, and semi-Markov statistics from jump-level
-sampling that never touches the cascaded chain.  The one exception is
-``per_cell_sweep_factors``, the slow reference for the batched sweep: it
-rebuilds each cell's chain through the channel model and calls the
-production current-CSI factor cell by cell.
+sampling that never touches the cascaded chain.  Two slow references reuse
+production pieces on purpose: ``per_cell_sweep_factors``, the reference for
+the batched sweep, rebuilds each cell's chain through the channel model and
+calls the production current-CSI factor cell by cell; ``reference_run``, the
+reference for the chunked slot engine, is the per-slot simulation loop with
+Kahan-compensated cost sums, driving a policy through ``select`` and
+``observe`` one slot at a time, and ``reference_policy`` gives per-slot
+implementations of the three scheduling policies for it to drive.
 """
 
 from __future__ import annotations
@@ -211,3 +215,239 @@ def per_cell_sweep_factors(loaded, grid: tuple[int, int]) -> np.ndarray:
                     drops[ax.target, ax.frequency - 1] = float(v)
             factor[i, j], _ = current_csi_factor(chain.with_drops(drops))
     return factor
+
+
+class SerialReference:
+    """Persistent-serial, one slot at a time: one sensor until it succeeds."""
+
+    name = "persistent-serial"
+
+    def __init__(self, num_sensors: int, ranking: np.ndarray):
+        self.num_sensors, self.ranking, self.pointer = num_sensors, ranking, 0
+
+    def reset(self):
+        self.pointer = 0
+
+    def select(self, aoi, channel_state):
+        actions = np.zeros(self.num_sensors, dtype=int)
+        actions[self.pointer] = self.ranking[channel_state, 0]
+        return actions
+
+    def observe(self, outcomes):
+        if outcomes[self.pointer]:
+            self.pointer = (self.pointer + 1) % self.num_sensors
+
+
+class GreedyReference:
+    """Greedy top-k, one slot at a time, sorting memoized log costs."""
+
+    name = "greedy-topk"
+
+    def __init__(self, cost_functions, ranking: np.ndarray):
+        self.cost_functions, self.ranking = cost_functions, ranking
+        self.k = min(ranking.shape[1], len(cost_functions))
+
+    def reset(self):
+        pass
+
+    def select(self, aoi, channel_state):
+        logs = np.array([cf.log_cost(int(age)) for cf, age in zip(self.cost_functions, aoi)])
+        order = np.lexsort((np.arange(len(logs)), -logs))
+        actions = np.zeros(len(logs), dtype=int)
+        for rank, sensor in enumerate(order[: self.k]):
+            actions[sensor] = self.ranking[channel_state, rank]
+        return actions
+
+    def observe(self, outcomes):
+        pass
+
+
+class RoundRobinReference:
+    """Round-robin, one slot at a time: k = min(M, N) sensors per slot in turn."""
+
+    name = "round-robin"
+
+    def __init__(self, num_sensors: int, ranking: np.ndarray):
+        self.num_sensors, self.ranking, self.pointer = num_sensors, ranking, 0
+        self.k = min(ranking.shape[1], num_sensors)
+
+    def reset(self):
+        self.pointer = 0
+
+    def select(self, aoi, channel_state):
+        actions = np.zeros(self.num_sensors, dtype=int)
+        for rank in range(self.k):
+            actions[(self.pointer + rank) % self.num_sensors] = self.ranking[channel_state, rank]
+        self.pointer = (self.pointer + self.k) % self.num_sensors
+        return actions
+
+    def observe(self, outcomes):
+        pass
+
+
+def reference_policy(name: str, scenario):
+    """The per-slot reference implementation of a named scheduling policy."""
+    ranking = np.argsort(scenario.chain.drops, axis=1, kind="stable") + 1
+    if name == GreedyReference.name:
+        return GreedyReference(scenario.cost_functions, ranking)
+    cls = {SerialReference.name: SerialReference, RoundRobinReference.name: RoundRobinReference}
+    return cls[name](scenario.num_sensors, ranking)
+
+
+def greedy_frequency_for(chain, channel_state: int, rank: int = 1) -> int:
+    """The rank-th most reliable frequency in the given channel state."""
+    if not 1 <= rank <= chain.num_frequencies:
+        raise ValueError(f"rank must be in 1..{chain.num_frequencies}")
+    order = np.argsort(chain.drops[channel_state], kind="stable")
+    return int(order[rank - 1]) + 1
+
+
+class CostAccumulator:
+    """Kahan-compensated linear sum plus a log-space shadow total."""
+
+    __slots__ = ("total", "_comp", "log_total", "saturated")
+
+    def __init__(self):
+        self.total = 0.0
+        self._comp = 0.0
+        self.log_total = -math.inf
+        self.saturated = False
+
+    def add(self, value: float, log_value: float) -> None:
+        hi, lo = self.log_total, log_value
+        if lo > hi:
+            hi, lo = lo, hi
+        if hi == -math.inf:
+            pass  # both empty
+        elif lo == -math.inf:
+            self.log_total = hi
+        else:
+            self.log_total = hi + math.log1p(math.exp(lo - hi))
+        if not self.saturated and value < math.inf:
+            y = value - self._comp
+            t = self.total + y
+            self._comp = (t - self.total) - y
+            self.total = t
+        else:
+            self.saturated = True
+
+    def average(self, horizon: int) -> float:
+        if self.saturated:
+            log_avg = self.log_total - math.log(horizon)
+            return math.exp(log_avg) if log_avg < math.log(np.finfo(float).max) else math.inf
+        return self.total / horizon
+
+    def log_average(self, horizon: int) -> float:
+        return self.log_total - math.log(horizon)
+
+
+def reference_step(state, scenario, policy, want_record: bool = True):
+    """One slot: select, draw M outcome uniforms, observe, one channel draw."""
+    from remest.channel import sample_next
+    from remest.errors import InvalidActionError
+    from remest.sim import SlotRecord
+
+    n, m = scenario.num_sensors, scenario.num_frequencies
+    actions = policy.select(state.aoi, state.channel_state)
+    if len(actions) != n:
+        raise InvalidActionError(f"action vector must have length {n}")
+    draws = state.rng.random(m)
+    drop_row = scenario.chain.drops[state.channel_state]
+    outcomes = np.zeros(n, dtype=bool)
+    used = 0
+    for i in range(n):
+        a = int(actions[i])
+        if a == 0:
+            continue
+        if a < 0 or a > m:
+            raise InvalidActionError(f"action {a} outside 0..{m}")
+        bit = 1 << a
+        if used & bit:
+            raise InvalidActionError(f"frequency {a} assigned to more than one sensor")
+        used |= bit
+        if draws[a - 1] >= drop_row[a - 1]:
+            outcomes[i] = True
+    policy.observe(outcomes)
+
+    record = None
+    if want_record:
+        costs = np.array(
+            [cf.cost(int(age)) for cf, age in zip(scenario.cost_functions, state.aoi)]
+        )
+        record = SlotRecord(
+            slot=state.slot,
+            channel_state=state.channel_state,
+            actions=np.asarray(actions, dtype=int).copy(),
+            outcomes=outcomes.copy(),
+            aoi=state.aoi.copy(),
+            costs=costs,
+        )
+    aoi = state.aoi
+    for i in range(n):
+        aoi[i] = 1 if outcomes[i] else aoi[i] + 1
+    state.channel_state = sample_next(scenario.chain, state.channel_state, state.rng)
+    state.slot += 1
+    return state, record
+
+
+def reference_run(
+    scenario,
+    policy,
+    horizon: int,
+    seed,
+    checkpoints=(),
+    initial_channel_state=None,
+    record_hook=None,
+    record_limit=None,
+):
+    """The per-slot simulation loop the chunked engine must reproduce."""
+    from remest.sim import SimSummary, initial_state
+
+    n = scenario.num_sensors
+    state = initial_state(scenario, seed, initial_channel_state)
+    policy.reset()
+    accs = [CostAccumulator() for _ in range(n)]
+    cost_fns = scenario.cost_functions
+    cycles: list[list[int]] = [[] for _ in range(n)]
+    last_success = [0] * n
+    checkpoint_set = {int(c) for c in checkpoints}
+    checkpoint_log: dict[int, float] = {}
+    for t in range(1, horizon + 1):
+        for i in range(n):
+            age = int(state.aoi[i])
+            accs[i].add(cost_fns[i].cost(age), cost_fns[i].log_cost(age))
+        want = record_hook is not None and (record_limit is None or t <= record_limit)
+        state, record = reference_step(state, scenario, policy, want_record=want)
+        if want:
+            record_hook(record)
+        for i in range(n):
+            if state.aoi[i] == 1:
+                cycles[i].append(t - last_success[i])
+                last_success[i] = t
+        if t in checkpoint_set:
+            logs = np.array([a.log_average(t) for a in accs])
+            checkpoint_log[t] = float(np.logaddexp.reduce(logs))
+    return SimSummary(
+        horizon=horizon,
+        seed=seed,
+        policy=getattr(policy, "name", type(policy).__name__),
+        avg_cost=np.array([a.average(horizon) for a in accs]),
+        log_avg_cost=np.array([a.log_average(horizon) for a in accs]),
+        cycle_lengths=tuple(np.array(c, dtype=int) for c in cycles),
+        checkpoint_log_total=checkpoint_log,
+        saturated=any(a.saturated for a in accs),
+    )
+
+
+def cascaded_index(chain, quality: int, delta: int) -> int:
+    """Index of cascaded state (quality, delta): quality-major, delta from 1."""
+    return quality * chain.max_holding + (delta - 1)
+
+
+def growth_rate(cost_fn, i_max: int) -> float:
+    """``(log c(i_max) - log c(i_max // 2)) / (2 (i_max - i_max // 2))``.
+
+    Converges to ``log rho(A)`` as ``i_max`` grows for plants with rho >= 1.
+    """
+    half = i_max // 2
+    return (cost_fn.log_cost(i_max) - cost_fn.log_cost(half)) / (2.0 * (i_max - half))

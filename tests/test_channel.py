@@ -18,9 +18,11 @@ from remest import (
     sample_paths,
     stationary_distribution,
 )
+from remest.channel import _validate_chain
 
 from conftest import bernoulli_channel, example_channel, random_semi_markov
 from oracles import (
+    cascaded_index,
     harvest_holding_periods,
     power_method_stationary,
     semi_markov_slot_states,
@@ -188,7 +190,7 @@ class TestBuildCascadedChain:
             level_drops=((0.2, 0.7),),
         )
         chain = build_cascaded_chain(ch)
-        k = chain.index_of(0, 2)
+        k = cascaded_index(chain, 0, 2)
         assert chain.unreachable == {k}
         assert np.all(chain.transition[:, k] == 0.0)
         np.testing.assert_allclose(chain.transition.sum(axis=1), 1.0, atol=1e-12)
@@ -228,7 +230,7 @@ class TestBuildCascadedChain:
         chain = build_cascaded_chain(example_channel())
         for k, (q, _) in enumerate(chain.states):
             np.testing.assert_array_equal(
-                chain.drops[k], chain.drops[chain.index_of(q, 1)]
+                chain.drops[k], chain.drops[cascaded_index(chain, q, 1)]
             )
 
 
@@ -409,6 +411,16 @@ class TestStationaryDistribution:
         np.testing.assert_allclose(pi @ p, pi, atol=1e-10)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_chain_stationary_cached_and_shared_by_with_drops(self):
+        chain = build_cascaded_chain(example_channel())
+        copy = chain.with_drops(chain.drops * 0.5)  # made before any solve
+        pi = chain_stationary(copy)
+        assert chain_stationary(chain) is pi and chain_stationary(copy) is pi
+        assert not pi.flags.writeable
+        fresh = chain_stationary(chain, tol=1e-9)
+        assert fresh is not pi
+        np.testing.assert_array_equal(fresh, pi)
+
     def test_chain_stationary_skips_unreachable(self):
         ch = SemiMarkovChannelModel(
             levels_per_frequency=(2,),
@@ -418,7 +430,63 @@ class TestStationaryDistribution:
         )
         chain = build_cascaded_chain(ch)
         pi = chain_stationary(chain)
-        k = chain.index_of(0, 2)
+        k = cascaded_index(chain, 0, 2)
         assert pi[k] == 0.0
         assert pi.sum() == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(pi @ chain.transition, pi, atol=1e-9)
+
+
+def random_digraph(rng: np.random.Generator) -> np.ndarray:
+    """Positive-weight adjacency of a random graph of one of three shapes.
+
+    Sparse graphs are usually reducible.  Cyclic-class graphs only step from
+    class c to class c + 1 mod p, so they are periodic for p > 1 unless a
+    shortcut edge is added.  Ring graphs contain a Hamiltonian cycle.
+    """
+    n = int(rng.integers(1, 9))
+    shape = int(rng.integers(3))
+    if shape == 0:
+        adj = rng.random((n, n)) < rng.uniform(0.1, 0.5)
+    elif shape == 1:
+        p = int(rng.integers(1, 5))
+        cls = rng.integers(p, size=n)
+        adj = (cls[None, :] == (cls[:, None] + 1) % p) & (rng.random((n, n)) < 0.7)
+        if rng.random() < 0.3:
+            adj[rng.integers(n), rng.integers(n)] = True
+    else:
+        order = rng.permutation(n)
+        adj = rng.random((n, n)) < rng.uniform(0.0, 0.3)
+        adj[order, np.roll(order, -1)] = True
+    return np.where(adj, rng.uniform(0.1, 1.0, size=(n, n)), 0.0)
+
+
+class TestValidateChainOracle:
+    def test_matches_networkx_on_random_graphs(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(4242)
+        seen = {"irreducible-aperiodic": 0, "reducible": 0, "periodic": 0}
+        for _ in range(1500):
+            weights = random_digraph(rng)
+            n = weights.shape[0]
+            feasible = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+            graph = nx.DiGraph()
+            graph.add_nodes_from(feasible)
+            graph.add_edges_from(
+                (i, j) for i in feasible for j in feasible if weights[i, j] > 0.0
+            )
+            if not nx.is_strongly_connected(graph):
+                want = "reducible"
+            elif not nx.is_aperiodic(graph):
+                want = "periodic"
+            else:
+                want = "irreducible-aperiodic"
+            try:
+                _validate_chain(weights, feasible)
+                got = "irreducible-aperiodic"
+            except NotIrreducibleError:
+                got = "reducible"
+            except PeriodicChainError:
+                got = "periodic"
+            assert got == want, (weights, feasible)
+            seen[want] += 1
+        assert min(seen.values()) >= 100, seen

@@ -18,7 +18,7 @@ from remest.sweep import (
     write_sweep_csv,
 )
 
-from oracles import per_cell_sweep_factors
+from oracles import cascaded_index, per_cell_sweep_factors
 
 
 def bundled_dict():
@@ -152,7 +152,7 @@ class TestSweep:
         np.testing.assert_array_equal(chain.transition, loaded.scenario.chain.transition)
         # frequency 1 drops move, frequency 2 stays
         assert chain.drops[0, 0] == 0.25  # level 1 of frequency 1 at quality (0, 0)
-        assert chain.drops[chain.index_of(2, 1), 0] == 0.75  # level 2 states
+        assert chain.drops[cascaded_index(chain, 2, 1), 0] == 0.75  # level 2 states
         np.testing.assert_array_equal(chain.drops[:, 1], loaded.scenario.chain.drops[:, 1])
 
     def test_verdicts_recomputable_from_recorded_values(self):

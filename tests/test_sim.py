@@ -11,13 +11,15 @@ from remest import (
     RoundRobinPolicy,
     Scenario,
     chain_stationary,
+    SemiMarkovChannelModel,
     full_physics_run,
-    greedy_frequency_for,
+    load_bundled_scenario,
     make_policy,
     run,
     step,
 )
-from remest.sim import frequency_ranking, initial_state
+from remest import sim
+from remest.sim import POLICIES, frequency_ranking, initial_state
 
 from conftest import (
     bernoulli_channel,
@@ -28,7 +30,7 @@ from conftest import (
     scalar_process,
     single_sensor_scenario,
 )
-from oracles import tv_distance
+from oracles import greedy_frequency_for, reference_policy, reference_run, tv_distance
 
 
 class FixedPolicy:
@@ -47,6 +49,36 @@ class FixedPolicy:
 
     def observe(self, outcomes):
         pass
+
+
+class SlotBySlot:
+    """Hides a policy's ``plan`` so the engine drives it through ``select``/``observe``."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.name = policy.name
+
+    def reset(self):
+        self.policy.reset()
+
+    def select(self, aoi, channel_state):
+        return self.policy.select(aoi, channel_state)
+
+    def observe(self, outcomes):
+        self.policy.observe(outcomes)
+
+
+def per_cascade_scenario() -> Scenario:
+    """The example scenario with drop rates that depend on the holding time."""
+    base = example_channel()
+    drops = np.random.default_rng(7).uniform(0.05, 0.95, size=(8, 2))
+    model = SemiMarkovChannelModel(
+        levels_per_frequency=base.levels_per_frequency,
+        transition=base.transition,
+        holding_pmf=base.holding_pmf,
+        cascade_drops=drops,
+    )
+    return Scenario.build(example_processes(), model)
 
 
 class TestScenario:
@@ -348,3 +380,118 @@ class TestFullPhysics:
         b = out.mse_buckets
         for age in (1, 2):
             assert b.mean_sq[0, age] == pytest.approx(b.predicted[0, age], rel=0.05)
+
+
+def assert_matches_reference(scenario, policy_name, horizon, seed, wrap=False, **kwargs):
+    """Engine run and per-slot reference loop: same cycles, costs and records.
+
+    With ``wrap`` the engine drives the package's policy slot by slot through
+    ``select``/``observe`` instead of its chunk ``plan``.
+    """
+    policy = make_policy(policy_name, scenario)
+    got_records, want_records = [], []
+    got = run(scenario, SlotBySlot(policy) if wrap else policy, horizon, seed,
+              record_hook=got_records.append, **kwargs)
+    want = reference_run(scenario, reference_policy(policy_name, scenario), horizon, seed,
+                         record_hook=want_records.append, **kwargs)
+    assert len(got.cycle_lengths) == len(want.cycle_lengths)
+    for a, b in zip(got.cycle_lengths, want.cycle_lengths):
+        assert np.array_equal(a, b)
+    np.testing.assert_allclose(got.avg_cost, want.avg_cost, rtol=1e-12)
+    np.testing.assert_allclose(got.log_avg_cost, want.log_avg_cost, rtol=1e-12)
+    assert got.saturated == want.saturated
+    assert got.checkpoint_log_total.keys() == want.checkpoint_log_total.keys()
+    for t, value in want.checkpoint_log_total.items():
+        assert got.checkpoint_log_total[t] == pytest.approx(value, abs=1e-12)
+    assert len(got_records) == len(want_records)
+    for a, b in zip(got_records, want_records):
+        assert (a.slot, a.channel_state) == (b.slot, b.channel_state)
+        for name in ("actions", "outcomes", "aoi", "costs"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (a.slot, name)
+
+
+class TestEngineMatchesReference:
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bundled(self, policy_name, seed):
+        scenario = load_bundled_scenario().scenario
+        assert_matches_reference(
+            scenario, policy_name, 2000, seed, checkpoints=(500, 2000), record_limit=300
+        )
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_per_cascade(self, policy_name):
+        assert_matches_reference(per_cascade_scenario(), policy_name, 2000, 3001)
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_select_observe_adapter(self, policy_name):
+        assert_matches_reference(
+            example_scenario(), policy_name, 600, 5, wrap=True, checkpoints=(600,)
+        )
+
+    def test_saturated_single_sensor(self):
+        s = single_sensor_scenario(1.5, 1.0)
+        assert_matches_reference(s, "persistent-serial", 4000, 5, checkpoints=(1000,))
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_horizon_spanning_chunks(self, policy_name, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK", 97)
+        assert_matches_reference(
+            example_scenario(),
+            policy_name,
+            1000,
+            8,
+            checkpoints=(97 * 3, 450, 1000),
+            record_limit=250,
+            initial_channel_state=4,
+        )
+
+
+class TestInvalidActionsThroughRun:
+    @pytest.mark.parametrize(
+        "actions, match",
+        [([1, 1, 0], "more than one"), ([3, 0, 0], "outside"), ([0, -1, 0], "outside"),
+         ([1, 0], "length")],
+    )
+    def test_select_observe_policy(self, actions, match):
+        s = example_scenario()
+        with pytest.raises(InvalidActionError, match=match):
+            run(s, FixedPolicy(actions), horizon=50, seed=1)
+
+    def test_chunk_plan_validated(self):
+        class Doubled(PersistentSerialPolicy):
+            def plan(self, aoi, path, success):
+                actions = super().plan(aoi, path, success)
+                actions[len(path) // 2] = [2, 2, 0]
+                return actions
+
+        s = example_scenario()
+        with pytest.raises(InvalidActionError, match="frequency 2 assigned to more than one"):
+            run(s, Doubled(s.num_sensors, s.chain), horizon=50, seed=1)
+
+
+class TestFullPhysicsEngine:
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_shares_run_cycle_stream(self, policy_name):
+        s = load_bundled_scenario().scenario
+        plain = run(s, make_policy(policy_name, s), horizon=3000, seed=5)
+        physics = full_physics_run(s, make_policy(policy_name, s), horizon=3000, seed=5,
+                                   burn_in=200)
+        for a, b in zip(plain.cycle_lengths, physics.cycle_lengths):
+            assert np.array_equal(a, b)
+        np.testing.assert_array_equal(plain.avg_cost, physics.avg_cost)
+
+    def test_buckets_do_not_depend_on_chunk_size(self, monkeypatch):
+        """Chunking only regroups the floating-point sums, never the samples."""
+        s = load_bundled_scenario().scenario
+        whole = full_physics_run(s, make_policy("round-robin", s), horizon=4000, seed=9,
+                                 burn_in=100, bucket_max=6)
+        monkeypatch.setattr(sim, "_CHUNK", 331)
+        parts = full_physics_run(s, make_policy("round-robin", s), horizon=4000, seed=9,
+                                 burn_in=100, bucket_max=6)
+        np.testing.assert_array_equal(whole.mse_buckets.counts, parts.mse_buckets.counts)
+        np.testing.assert_allclose(whole.mse_buckets.mean_sq, parts.mse_buckets.mean_sq,
+                                   rtol=1e-12)
+        for a, b in zip(whole.cycle_lengths, parts.cycle_lengths):
+            assert np.array_equal(a, b)
