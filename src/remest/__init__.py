@@ -21,7 +21,6 @@ from .channel import (
     stationary_distribution,
 )
 from .errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     DivergentSeriesError,
     FrequencyOutOfRangeError,

@@ -3,8 +3,7 @@
 Subcommands: ``validate`` (scenario lint), ``check`` (stability verdict),
 ``sweep`` (stability-region grid), ``simulate`` (Monte Carlo runs), and
 ``compare-csi`` (current vs delayed channel-state information).  Exit code 0
-means the computation ran (whatever the verdict), 2 a scenario problem, 3 an
-exceeded search budget.
+means the computation ran (whatever the verdict), 2 a scenario problem.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import BudgetExceededError, ScenarioError
+from .errors import ScenarioError
 from .scenario import bundled_scenario_path, load_scenario
 from .sim import POLICIES, full_physics_run, make_policy, run
 from .stability import evaluate_current_csi, evaluate_delayed_csi
@@ -31,7 +30,6 @@ from .sweep import (
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
-EXIT_BUDGET = 3
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -72,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario(p_check)
     p_check.add_argument("--mode", choices=["current", "delayed"], default="current")
     p_check.add_argument("--L", type=int, default=1, help="tuple length for delayed mode")
-    p_check.add_argument("--budget", type=int, default=10**8)
 
     p_sweep = sub.add_parser("sweep", help="stability region over the sweep grid")
     add_scenario(p_sweep)
@@ -103,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare-csi", help="current vs delayed CSI factors")
     add_scenario(p_cmp)
     p_cmp.add_argument("--L", type=int, default=2, help="largest tuple length to evaluate")
-    p_cmp.add_argument("--budget", type=int, default=10**8)
     p_cmp.add_argument("--out", default=None, help="output CSV path (default: stdout table)")
 
     return parser
@@ -142,7 +138,7 @@ def _cmd_check(args) -> int:
     if args.mode == "current":
         report = evaluate_current_csi(s.processes, s.chain)
     else:
-        report = evaluate_delayed_csi(s.processes, s.chain, horizon=args.L, budget=args.budget)
+        report = evaluate_delayed_csi(s.processes, s.chain, horizon=args.L)
     _print_report(report)
     return EXIT_OK
 
@@ -223,7 +219,7 @@ def _cmd_simulate(args) -> int:
                     if b.counts[n, age] > 0:
                         print(
                             f"seed={seed} sensor={n} aoi={age} samples={b.counts[n, age]} "
-                            f"mse={b.mean_sq[n, age]!r} predicted={b.predicted[n, age]!r}"
+                            f"mse={float(b.mean_sq[n, age])!r} predicted={float(b.predicted[n, age])!r}"
                         )
 
     header = ["seed", "horizon", "policy", "J_total", "log10_J_total"] + [
@@ -243,7 +239,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compare_csi(args) -> int:
     loaded = _load(args)
-    rows = compare_csi(loaded, l_max=args.L, budget=args.budget)
+    rows = compare_csi(loaded, l_max=args.L)
     if args.out:
         write_csi_csv(rows, args.out, loaded.sha256)
         print(f"wrote {args.out}: {len(rows)} rows")
@@ -274,9 +270,6 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

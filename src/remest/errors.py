@@ -33,10 +33,6 @@ class FrequencyOutOfRangeError(RemestError):
     """A selection vector references a frequency index outside 1..M."""
 
 
-class BudgetExceededError(RemestError):
-    """An exhaustive search would exceed the configured evaluation budget."""
-
-
 class DivergentSeriesError(RemestError):
     """A matrix series does not converge (unstable regime)."""
 

@@ -23,19 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _as_matrix
 from .errors import DimensionMismatchError, NonConvergentError
 
 # Plain covariance iterates are kept only while they stay comfortably inside
 # float range; beyond this the log-scaled track takes over.
 _PLAIN_LIMIT = 1e250
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
-
-
-def _as_matrix(x, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    return a
 
 
 def _check_symmetric(x: np.ndarray, name: str, tol: float = 1e-9) -> None:

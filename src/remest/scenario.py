@@ -20,12 +20,10 @@ import numpy as np
 import yaml
 
 from .errors import ScenarioParseError, ScenarioValidationError
-from .channel import SemiMarkovChannelModel
+from .channel import _ROW_SUM_TOL, SemiMarkovChannelModel
 from .sim import POLICIES, Scenario
 
 BUNDLED_EXAMPLE = "three_sensor_two_frequency"
-
-_ROW_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)

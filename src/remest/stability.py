@@ -17,6 +17,14 @@ probability that a transmission at the destination fails under the frequency
 chosen while still at the origin.  The delayed test is never easier to pass:
 lambda <= lambda_L for every L.
 
+Row i of E(v) depends only on v_i, so {E(v)} is a product (independent row
+uncertainty) family of nonnegative matrices.  The lower spectral radius of
+such a family is attained by a single member (Nesterov & Protasov,
+"Optimizing the spectral radius", SIAM J. Matrix Anal. Appl. 34(3), 2013),
+hence lambda_L = lambda_1 for every L, and lambda_1 is found in polynomial
+time by policy iteration (Protasov, "Spectral simplex method", Math.
+Program. 156, 2016) instead of a search over all M^(n L) selection tuples.
+
 The cycle analytics decompose time into estimation cycles (between
 consecutive successful deliveries of one sensor) under the greedy selection.
 Writing F = V(v*) T for a failed slot and S = (I - V(v*)) T for a successful
@@ -27,7 +35,6 @@ over j gives the transition matrix of the pre-cycle channel states.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +42,6 @@ import numpy as np
 
 from .channel import CascadedChain, drop_matrix, greedy_selection, stationary_distribution
 from .errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     DivergentSeriesError,
     FrequencyOutOfRangeError,
@@ -46,8 +52,6 @@ from .process import ProcessModel, spectral_radius
 STABLE = "stable"
 UNSTABLE = "unstable"
 BOUNDARY = "boundary"
-
-DEFAULT_BUDGET = 10**8
 
 
 def verdict_for(product, tol_boundary: float = 1e-9):
@@ -155,68 +159,58 @@ def tuple_spectral_factor(matrices) -> float:
 
 
 def delayed_csi_factor(
-    chain: CascadedChain, horizon: int, budget: int = DEFAULT_BUDGET
+    chain: CascadedChain, horizon: int
 ) -> tuple[float, tuple[np.ndarray, ...]]:
-    """Exact minimum of the delayed-CSI spectral factor over selection tuples.
+    """Exact delayed-CSI factor ``lambda_L`` and a selection tuple attaining it.
 
-    Exhaustively searches all ``M**(num_states * horizon)`` tuples of
-    selection vectors; raises :class:`BudgetExceededError` when that count
-    exceeds ``budget``.  Ties break toward the lexicographically smallest
-    tuple (vectors compared entrywise, earlier vectors first).
+    ``lambda_L = lambda_1`` for every L (see the module docstring), and the
+    reported tuple repeats one selection vector ``horizon`` times.
+
+    If the greedy selection is one frequency m in every state, every E(v)
+    dominates ``E(m 1) = T D_m`` entrywise and ``T D_m`` is similar to
+    ``D_m T``, so the current-CSI factor and ``m 1`` are returned as they are:
+    ``lambda <= lambda_L`` then holds exactly, not merely to rounding.
+
+    Otherwise policy iteration starts from the greedy selection, takes a
+    nonnegative Perron vector x of E(v) and moves each row i to the frequency
+    minimising ``T[i, :] . (drop[:, m] * x)``.  A row moves only when that
+    lowers its value by more than a relative 1e-13, and the lowest frequency
+    wins ties.  At the fixed point ``E(u) x >= (1 - 1e-13) lambda_1 x`` for
+    every u, so by Collatz-Wielandt no member or product of members has a
+    smaller spectral radius; this holds for a Perron vector with zeros
+    (reducible E(v)) too.  More than ``num_states * M`` iterations raise
+    :class:`NonConvergentError`.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    m = chain.num_frequencies
-    n_vectors = m**chain.num_states
-    total = n_vectors**horizon
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} candidate products exceed the budget of {budget}"
-        )
-    vectors = [
-        np.array(v, dtype=int)
-        for v in itertools.product(range(1, m + 1), repeat=chain.num_states)
-    ]
-    mats = [delayed_failure_matrix(chain, v) for v in vectors]
-
-    best = math.inf
-    best_combo: tuple[int, ...] | None = None
-    # depth-first over lexicographic tuples, reusing prefix products
-    stack_prod: list[np.ndarray] = []
-    combo: list[int] = []
-
-    def descend():
-        nonlocal best, best_combo
-        depth = len(combo)
-        if depth == horizon:
-            value = spectral_radius(stack_prod[-1]) ** (1.0 / horizon)
-            if value < best:
-                best = value
-                best_combo = tuple(combo)
-            return
-        for idx in range(n_vectors):
-            prod = mats[idx] if depth == 0 else stack_prod[-1] @ mats[idx]
-            stack_prod.append(prod)
-            combo.append(idx)
-            descend()
-            combo.pop()
-            stack_prod.pop()
-
-    descend()
-    assert best_combo is not None
-    return best, tuple(vectors[i].copy() for i in best_combo)
+    lam, v = current_csi_factor(chain)
+    if np.all(v == v[0]):
+        return lam, (v,) * horizon
+    rows = np.arange(chain.num_states)
+    for _ in range(chain.num_states * chain.num_frequencies):
+        e = delayed_failure_matrix(chain, v)
+        eigs, vecs = np.linalg.eig(e)
+        x = np.abs(vecs[:, np.argmax(eigs.real)])
+        scores = chain.transition @ (chain.drops * x[:, None])  # (row i, frequency)
+        best = np.argmin(scores, axis=1)
+        move = scores[rows, best] < scores[rows, v - 1] * (1.0 - 1e-13)
+        if not move.any():
+            return spectral_radius(e), (v,) * horizon
+        v = np.where(move, best + 1, v)
+    raise NonConvergentError(
+        f"policy iteration did not settle within {chain.num_states * chain.num_frequencies} steps"
+    )
 
 
 def evaluate_delayed_csi(
     processes,
     chain: CascadedChain,
     horizon: int,
-    budget: int = DEFAULT_BUDGET,
     tol_boundary: float = 1e-9,
 ) -> StabilityReport:
     """Stability test under one-step-delayed CSI at a fixed tuple length."""
     rho_max, dominant = max_plant_spectral_radius(processes)
-    lam_l, selections = delayed_csi_factor(chain, horizon, budget)
+    lam_l, selections = delayed_csi_factor(chain, horizon)
     product = rho_max**2 * lam_l
     return StabilityReport(
         rho_max=rho_max,

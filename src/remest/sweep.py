@@ -283,7 +283,7 @@ class CsiComparisonRow:
 
 
 def compare_csi(
-    loaded: LoadedScenario, l_max: int, budget: int = 10**8, tol_boundary: float = 1e-9
+    loaded: LoadedScenario, l_max: int, tol_boundary: float = 1e-9
 ) -> list[CsiComparisonRow]:
     """Tabulate the current-CSI factor against delayed-CSI factors for L = 1..l_max."""
     scenario = loaded.scenario
@@ -304,7 +304,7 @@ def compare_csi(
     lam, _ = current_csi_factor(scenario.chain)
     out = [make_row("current", None, lam)]
     for el in range(1, l_max + 1):
-        lam_l, _ = delayed_csi_factor(scenario.chain, el, budget=budget)
+        lam_l, _ = delayed_csi_factor(scenario.chain, el)
         out.append(make_row("delayed", el, lam_l))
     return out
 

@@ -8,7 +8,10 @@ loop with its own update formula, and semi-Markov statistics from jump-level
 sampling that never touches the cascaded chain.  Two slow references reuse
 production pieces on purpose: ``per_cell_sweep_factors``, the reference for
 the batched sweep, rebuilds each cell's chain through the channel model and
-calls the production current-CSI factor cell by cell; ``reference_run``, the
+calls the production current-CSI factor cell by cell;
+``exhaustive_delayed_factor``, the reference for the delayed-CSI policy
+iteration, searches every selection tuple of the production failure
+matrices; ``reference_run``, the
 reference for the chunked slot engine, is the per-slot simulation loop with
 Kahan-compensated cost sums, driving a policy through ``select`` and
 ``observe`` one slot at a time, and ``reference_policy`` gives per-slot
@@ -17,6 +20,7 @@ implementations of the three scheduling policies for it to drive.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -215,6 +219,37 @@ def per_cell_sweep_factors(loaded, grid: tuple[int, int]) -> np.ndarray:
                     drops[ax.target, ax.frequency - 1] = float(v)
             factor[i, j], _ = current_csi_factor(chain.with_drops(drops))
     return factor
+
+
+def exhaustive_delayed_factor(chain, horizon: int) -> tuple[float, tuple[np.ndarray, ...]]:
+    """Minimum of ``rho(E(v_1) ... E(v_L))**(1/L)`` over all ``M**(n L)`` tuples.
+
+    Depth-first over lexicographic tuples, reusing prefix products, with the
+    last factor batched into one eigensolve; ties break toward the
+    lexicographically smallest tuple.
+    """
+    from remest.stability import delayed_failure_matrix
+
+    vectors = [
+        np.array(v, dtype=int)
+        for v in itertools.product(range(1, chain.num_frequencies + 1), repeat=chain.num_states)
+    ]
+    mats = np.stack([delayed_failure_matrix(chain, v) for v in vectors])
+    best, best_combo = math.inf, None
+
+    def descend(prefix, combo):
+        nonlocal best, best_combo
+        if len(combo) == horizon - 1:
+            values = np.abs(np.linalg.eigvals(prefix @ mats)).max(axis=1) ** (1.0 / horizon)
+            idx = int(np.argmin(values))
+            if values[idx] < best:
+                best, best_combo = float(values[idx]), combo + (idx,)
+            return
+        for idx, mat in enumerate(mats):
+            descend(prefix @ mat, combo + (idx,))
+
+    descend(np.eye(chain.num_states), ())
+    return best, tuple(vectors[i].copy() for i in best_combo)
 
 
 class SerialReference:

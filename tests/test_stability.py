@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from remest import (
-    BudgetExceededError,
     DivergentSeriesError,
     SemiMarkovChannelModel,
     build_cascaded_chain,
@@ -29,7 +28,13 @@ from conftest import (
     random_semi_markov,
     scalar_process,
 )
-from oracles import eig_spectral_radius, gelfand_spectral_radius, harvest_cycles, tv_distance
+from oracles import (
+    eig_spectral_radius,
+    exhaustive_delayed_factor,
+    gelfand_spectral_radius,
+    harvest_cycles,
+    tv_distance,
+)
 from remest.channel import sample_paths
 
 
@@ -183,10 +188,50 @@ class TestDelayedCsiFactor:
             for el in (1, 2, 3):
                 assert tuple_spectral_factor([step] * el) == pytest.approx(lam, abs=1e-9)
 
-    def test_budget_guard(self):
-        chain = build_cascaded_chain(example_channel())
-        with pytest.raises(BudgetExceededError):
-            delayed_csi_factor(chain, 2, budget=1000)
+    def test_matches_exhaustive_oracle(self):
+        # every third chain has forced 0/1 drops; a zero row or column makes E(v) reducible
+        rng = np.random.default_rng(515)
+        configs = [((2, 1), 2), ((3, 1), 1), ((2, 1, 1), 1), ((2, 2), 1), ((2, 1), 1), ((1, 3), 1)]
+        reducible = 0
+        for k in range(300):
+            levels, max_holding = configs[k % len(configs)]
+            model = random_semi_markov(rng, levels=levels, max_holding=max_holding)
+            chain = build_cascaded_chain(model)
+            if k % 3 == 0:
+                drops = chain.drops.copy()
+                forced = rng.random(drops.shape) < 0.6
+                drops[forced] = rng.integers(0, 2, size=int(forced.sum()))
+                chain = chain.with_drops(drops)
+            for el in (1, 2, 3):
+                if chain.num_frequencies ** (chain.num_states * el) > 10**5:
+                    continue
+                lam_l, sels = delayed_csi_factor(chain, el)
+                want, _ = exhaustive_delayed_factor(chain, el)
+                assert abs(lam_l - want) <= 1e-12 * want
+                assert len(sels) == el
+            e = delayed_failure_matrix(chain, sels[0])
+            assert eig_spectral_radius(e) == pytest.approx(lam_l, rel=1e-12)
+            reducible += bool(np.any(e.sum(axis=0) == 0.0) or np.any(e.sum(axis=1) == 0.0))
+        assert reducible >= 20
+
+    def test_constant_greedy_never_below_current_csi(self):
+        # one frequency has the lowest drop in every state: lambda_L = lambda exactly
+        rng = np.random.default_rng(516)
+        configs = [((2, 2), 3), ((3, 2), 2), ((2, 1, 1), 2), ((2, 1), 4)]
+        for k in range(40):
+            levels, max_holding = configs[k % len(configs)]
+            model = random_semi_markov(rng, levels=levels, max_holding=max_holding)
+            chain = build_cascaded_chain(model)
+            drops = chain.drops.copy()
+            best = k % chain.num_frequencies
+            drops[:, best] = drops.min(axis=1) * rng.uniform(0.5, 1.0, size=chain.num_states)
+            chain = chain.with_drops(drops)
+            lam, _ = current_csi_factor(chain)
+            for el in (1, 2):
+                lam_l, sels = delayed_csi_factor(chain, el)
+                assert lam <= lam_l
+                for sel in sels:
+                    np.testing.assert_array_equal(sel, np.full(chain.num_states, best + 1))
 
     def test_deterministic_tie_break(self):
         # equal drops everywhere: every tuple attains the minimum, the
