@@ -3,7 +3,7 @@
 Subcommands: ``validate`` (scenario lint), ``check`` (stability verdict),
 ``sweep`` (stability-region grid), ``simulate`` (Monte Carlo runs), and
 ``compare-csi`` (current vs delayed channel-state information).  Exit code 0
-means the computation ran (whatever the verdict), 2 a scenario problem.
+means the computation ran (whatever the verdict), 2 a usage or scenario problem.
 """
 
 from __future__ import annotations
@@ -32,12 +32,25 @@ EXIT_OK = 0
 EXIT_SCENARIO = 2
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         rows, cols = text.lower().split("x")
-        return int(rows), int(cols)
+        grid = int(rows), int(cols)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected ROWSxCOLS, got {text!r}") from exc
+    if min(grid) < 2:
+        raise argparse.ArgumentTypeError(f"grid must be at least 2x2, got {text!r}")
+    return grid
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
@@ -69,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="stability verdict for one scenario")
     add_scenario(p_check)
     p_check.add_argument("--mode", choices=["current", "delayed"], default="current")
-    p_check.add_argument("--L", type=int, default=1, help="tuple length for delayed mode")
+    p_check.add_argument("--L", type=_positive_int, default=1, help="tuple length for delayed mode")
 
     p_sweep = sub.add_parser("sweep", help="stability region over the sweep grid")
     add_scenario(p_sweep)
@@ -79,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo simulation runs")
     add_scenario(p_sim)
     p_sim.add_argument("--out", default=None, help="summary CSV path (default: stdout table)")
-    p_sim.add_argument("--horizon", type=int, default=None)
+    p_sim.add_argument("--horizon", type=_positive_int, default=None)
     p_sim.add_argument("--seed", type=int, default=None, help="single seed (overrides --seeds)")
     p_sim.add_argument("--seeds", type=_parse_seeds, default=None, help="comma-separated seeds")
     p_sim.add_argument("--policy", choices=sorted(POLICIES), default=None)
@@ -99,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare-csi", help="current vs delayed CSI factors")
     add_scenario(p_cmp)
-    p_cmp.add_argument("--L", type=int, default=2, help="largest tuple length to evaluate")
+    p_cmp.add_argument("--L", type=_positive_int, default=2, help="largest tuple length to evaluate")
     p_cmp.add_argument("--out", default=None, help="output CSV path (default: stdout table)")
 
     return parser
@@ -173,7 +186,9 @@ def _cmd_simulate(args) -> int:
     loaded = _load(args)
     scenario = loaded.scenario
     sim_spec = loaded.sim
-    horizon = args.horizon or (sim_spec.horizon if sim_spec else 10_000)
+    horizon = args.horizon
+    if horizon is None:
+        horizon = sim_spec.horizon if sim_spec else 10_000
     if args.seed is not None:
         seeds = (args.seed,)
     elif args.seeds is not None:
@@ -183,12 +198,12 @@ def _cmd_simulate(args) -> int:
     policy_name = args.policy or (sim_spec.policy if sim_spec else "persistent-serial")
 
     if args.sweep_grid is not None:
-        analytic, cells = sweep_simulated(
-            loaded, grid=args.sweep_grid, horizon=horizon, seeds=seeds, policy_name=policy_name
-        )
         if not args.out:
             print("--out is required with --sweep-grid", file=sys.stderr)
             return EXIT_SCENARIO
+        analytic, cells = sweep_simulated(
+            loaded, grid=args.sweep_grid, horizon=horizon, seeds=seeds, policy_name=policy_name
+        )
         write_simulated_csv(analytic, cells, args.out)
         print(f"wrote {args.out}: {len(cells)} cells, {len(seeds)} seeds each")
         return EXIT_OK

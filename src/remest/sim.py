@@ -9,15 +9,19 @@ cascaded chain.
 
 One engine advances every run in chunks of slots.  It draws each chunk's
 uniforms as one block, in the order a slot-by-slot loop would draw them,
-and asks the policy for the chunk's whole action matrix.  Costs come from
-per-sensor AoI occupancy histograms, scored in log space when the linear
-value overflows, so diverging runs report growth rather than infinities.
-The full-physics mode observes the same chunks and checks the per-age cost
-against the empirical squared error of simulated plants.
+walks the channel along them once, and asks the policy for the chunk's
+whole action matrix.  Everything after the walk carries a leading cell
+axis: the cells of a simulated sweep differ only in their drop tables, so
+they share one walk per seed, and a single run is the one-cell case.  Costs
+come from per-sensor AoI occupancy histograms, scored in log space when the
+linear value overflows, so diverging runs report growth rather than
+infinities.  The full-physics mode observes the same chunks and checks the
+per-age cost against the empirical squared error of simulated plants.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_right
 from collections import namedtuple
@@ -31,6 +35,7 @@ from .process import CostFunction, ProcessModel
 
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 _CHUNK = 1 << 16  # slots per engine step; bounds memory for any horizon
+_CELL_SLOTS = 1 << 15  # cells x slots per block of a many-cell step; bounds memory for any grid
 
 
 @dataclass(frozen=True)
@@ -82,41 +87,60 @@ def frequency_ranking(chain: CascadedChain) -> np.ndarray:
 
     Row s lists 1-based frequency indices; ties keep the lower index first.
     """
-    return np.argsort(chain.drops, axis=1, kind="stable") + 1
+    return _rank_frequencies(chain.drops)
+
+
+def _rank_frequencies(drops: np.ndarray) -> np.ndarray:
+    return np.argsort(drops, axis=-1, kind="stable") + 1
 
 
 class _RankedPolicy:
     """What the built-in policies share: each slot's frequencies by reliability.
 
-    ``plan`` returns the actions of a whole chunk of slots at once and keeps
-    the policy's state consistent with ``select``/``observe`` slot by slot.
+    ``plan`` takes a chunk's AoI at its start, channel path and success
+    draws, and returns the chunk's action matrix, all with a leading cell
+    axis: cells share the path and differ in their drop tables, hence in
+    their rankings, and in the per-cell pointer.  ``select``/``observe`` are
+    the one-cell, one-slot case and keep the policy's state consistent.
     """
 
     def __init__(self, num_sensors: int, chain: CascadedChain):
         self.num_sensors = num_sensors
-        self._ranking = frequency_ranking(chain)
         self._k = min(chain.num_frequencies, num_sensors)
-        self._pointer = 0
+        self._ranking = frequency_ranking(chain)[None]
+        self.reset()
 
     def reset(self) -> None:
-        self._pointer = 0
+        self._pointer = np.zeros(len(self._ranking), dtype=int)
+
+    def _for_cells(self, drops: np.ndarray):
+        """A fresh copy of this policy for cells with the given drop tables.
+
+        Copies share whatever the policy caches, such as cost tables.
+        """
+        policy = copy.copy(self)
+        policy._ranking = _rank_frequencies(drops)
+        policy.reset()
+        return policy
 
     def select(self, aoi: np.ndarray, channel_state: int) -> np.ndarray:
         """One slot's actions: ``plan`` for a slot that delivers nothing.
 
         Deliveries reach the policy afterwards through :meth:`observe`.
         """
-        nothing = np.zeros((1, self._ranking.shape[1]), dtype=bool)
-        return self.plan(np.asarray(aoi), np.array([channel_state]), nothing)[0]
+        nothing = np.zeros((1, 1, self._ranking.shape[2]), dtype=bool)
+        return self.plan(np.asarray(aoi)[None], np.array([channel_state]), nothing)[0, 0]
 
     def observe(self, outcomes: np.ndarray) -> None:
         pass
 
     def _assign(self, path: np.ndarray, sensors: np.ndarray) -> np.ndarray:
-        """Action matrix giving ``sensors[t, r]`` the rank-r frequency of slot t."""
-        actions = np.zeros((len(path), self.num_sensors), dtype=int)
-        rows = np.arange(len(path))[:, None]
-        actions[rows, sensors] = self._ranking[path, : sensors.shape[1]]
+        """Actions giving ``sensors[c, t, r]`` the rank-r frequency of cell c in slot t."""
+        cells, k, ranks = sensors.shape
+        actions = np.zeros((cells, k, self.num_sensors), dtype=int)
+        actions[np.arange(cells)[:, None, None], np.arange(k)[:, None], sensors] = (
+            self._ranking[:, path, :ranks]
+        )
         return actions
 
 
@@ -131,15 +155,15 @@ class PersistentSerialPolicy(_RankedPolicy):
     name = "persistent-serial"
 
     def observe(self, outcomes: np.ndarray) -> None:
-        if outcomes[self._pointer]:
+        if outcomes[self._pointer[0]]:
             self._pointer = (self._pointer + 1) % self.num_sensors
 
     def plan(self, aoi: np.ndarray, path: np.ndarray, success: np.ndarray) -> np.ndarray:
         """The served sensor is the count of successes so far, mod N."""
-        hit = success[np.arange(len(path)), self._ranking[path, 0] - 1]
-        served = (self._pointer + np.cumsum(hit) - hit) % self.num_sensors
-        self._pointer = int(served[-1] + hit[-1]) % self.num_sensors
-        return self._assign(path, served[:, None])
+        hit = np.take_along_axis(success, self._ranking[:, path, :1] - 1, axis=2)[..., 0]
+        served = (self._pointer[:, None] + np.cumsum(hit, axis=1) - hit) % self.num_sensors
+        self._pointer = (served[:, -1] + hit[:, -1]) % self.num_sensors
+        return self._assign(path, served[..., None])
 
 
 class GreedyTopKPolicy(_RankedPolicy):
@@ -161,8 +185,8 @@ class GreedyTopKPolicy(_RankedPolicy):
     def _order(self, ages: list[int]) -> list[int]:
         """The k sensors of largest log cost, ties toward the lower index."""
         top = max(ages)
-        if top >= len(self._log_costs[0]):  # grow the tables by doubling
-            self._log_costs = [
+        if top >= len(self._log_costs[0]):  # grow the tables by doubling, in place
+            self._log_costs[:] = [
                 cf.tables(max(2 * top, 64))[1].tolist() for cf in self.cost_functions
             ]
         keys = [-self._log_costs[i][a] for i, a in enumerate(ages)]
@@ -170,17 +194,17 @@ class GreedyTopKPolicy(_RankedPolicy):
 
     def plan(self, aoi: np.ndarray, path: np.ndarray, success: np.ndarray) -> np.ndarray:
         """Slots are visited in order, because the AoI evolves with the outcomes."""
-        hits = np.take_along_axis(success, self._ranking[path, : self._k] - 1, axis=1)
-        ages = aoi.tolist()
+        hits = np.take_along_axis(success, self._ranking[:, path, : self._k] - 1, axis=2)
         served = []
-        for hit in hits.tolist():
-            order = self._order(ages)
-            served.append(order)
-            ages = [a + 1 for a in ages]
-            for rank, sensor in enumerate(order):
-                if hit[rank]:
-                    ages[sensor] = 1
-        return self._assign(path, np.array(served))
+        for ages, cell_hits in zip(aoi.tolist(), hits.tolist()):
+            for hit in cell_hits:
+                order = self._order(ages)
+                served.append(order)
+                ages = [a + 1 for a in ages]
+                for rank, sensor in enumerate(order):
+                    if hit[rank]:
+                        ages[sensor] = 1
+        return self._assign(path, np.array(served).reshape(hits.shape))
 
 
 class RoundRobinPolicy(_RankedPolicy):
@@ -190,9 +214,10 @@ class RoundRobinPolicy(_RankedPolicy):
 
     def plan(self, aoi: np.ndarray, path: np.ndarray, success: np.ndarray) -> np.ndarray:
         """Closed form: slot t starts at sensor pointer + t k, mod N."""
-        first = self._pointer + self._k * np.arange(len(path))
-        self._pointer = int(first[-1] + self._k) % self.num_sensors
-        return self._assign(path, (first[:, None] + np.arange(self._k)) % self.num_sensors)
+        first = self._pointer[:, None] + self._k * np.arange(len(path))
+        self._pointer = (first[:, -1] + self._k) % self.num_sensors
+        sensors = first[..., None] + np.arange(self._k)
+        return self._assign(path, sensors % self.num_sensors)
 
 
 POLICIES = {
@@ -280,63 +305,94 @@ def _select_each(policy, aoi: np.ndarray, path: np.ndarray, success: np.ndarray)
     return actions
 
 
-# consecutive slots of a run from slot ``start`` on, one array row per slot:
-# channel state, actions, outcomes and the AoI before the slot's transmissions
+# consecutive slots of a block of cells from slot ``start`` on: the shared
+# channel path, one entry per slot, and per cell and slot the actions, the
+# outcomes and the AoI before the slot's transmissions
 _Chunk = namedtuple("_Chunk", "start path actions outcomes aoi")
+# cells that advance together: their drop tables (cells x S x M), the policy
+# that serves them and their AoI vectors (cells x N), updated in place
+_Block = namedtuple("_Block", "drops policy aoi")
 
 
-def _advance(state: SimState, scenario: Scenario, policy, k: int) -> _Chunk:
-    """Simulate the next ``k`` slots, updating ``state`` in place."""
-    chain = scenario.chain
+def _one_cell(state: SimState, scenario: Scenario, policy) -> _Block:
+    """The block of a single run: the scenario's drop table and the state's AoI."""
+    return _Block(scenario.chain.drops[None], policy, state.aoi[None])
+
+
+def _walk(state: SimState, scenario: Scenario, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``k`` slots' channel path and success uniforms, shared by all cells.
+
+    Draws the uniforms as one block, in the order a slot-by-slot loop would
+    draw them, and advances the state's generator, channel state and slot.
+    """
     m = scenario.num_frequencies
     draws = state.rng.random((k, m + 1))
-    cum = chain._cum_tuples
+    cum = scenario.chain._cum_tuples
     current = state.channel_state
     visited = []
     visit = visited.append
     for u in draws[:, m].tolist():
         visit(current)
         current = bisect_right(cum[current], u)
-    path = np.array(visited)
-    success = draws[:, :m] >= chain.drops[path]
-
-    plan = getattr(policy, "plan", None)
-    if plan is None:
-        actions = _select_each(policy, state.aoi, path, success)
-    else:
-        actions = plan(state.aoi, path, success)
-    bad = ((actions < 0) | (actions > m)).any(axis=1)
-    for freq in range(1, m + 1):
-        bad |= (actions == freq).sum(axis=1) > 1
-    if bad.any():
-        _check_actions(actions[np.argmax(bad)], scenario.num_sensors, m)
-    slots = np.arange(state.slot, state.slot + k)[:, None]
-    outcomes = (actions > 0) & success[slots - state.slot, np.maximum(actions, 1) - 1]
-
-    # slot of each sensor's latest success; the AoI is the distance to it
-    before = state.slot - state.aoi
-    latest = np.maximum.accumulate(np.where(outcomes, slots, before), axis=0)
-    aoi = slots - np.concatenate([before[None], latest[:-1]])
-    chunk = _Chunk(start=state.slot, path=path, actions=actions, outcomes=outcomes, aoi=aoi)
-    state.aoi[:] = state.slot + k - latest[-1]
     state.channel_state = current
     state.slot += k
-    return chunk
+    return np.array(visited), draws[:, :m]
 
 
-def _chunks(state: SimState, scenario: Scenario, policy, horizon: int, stops=()):
-    """Advance ``horizon`` slots in chunks, ending a chunk at every stop slot."""
+def _advance(block: _Block, start: int, path: np.ndarray, uniforms: np.ndarray) -> _Chunk:
+    """The block's slots from ``start`` on along a walked path; updates its AoI."""
+    drops, policy, aoi = block
+    n, m, k = aoi.shape[1], drops.shape[2], len(path)
+    success = uniforms >= np.take(drops, path, axis=1)
+    plan = getattr(policy, "plan", None)
+    if plan is None:
+        actions = _select_each(policy, aoi[0], path, success[0])[None]
+    else:
+        actions = plan(aoi, path, success)
+    # sensor by sensor and pair by pair: reductions over the short sensor axis are slow
+    bad = np.zeros(actions.shape[:2], dtype=bool)
+    for i in range(n):
+        freq = actions[..., i]
+        bad |= (freq < 0) | (freq > m)
+        for j in range(i):
+            bad |= (freq == actions[..., j]) & (freq > 0)
+    if bad.any():
+        cell, slot = np.argwhere(bad)[0]
+        _check_actions(actions[cell, slot], n, m)
+    # each action's outcome, read from the success row led by a never-succeeding idle column
+    padded = np.zeros((len(aoi), k, m + 1), dtype=bool)
+    padded[..., 1:] = success
+    outcomes = padded.take(np.arange(0, padded.size, m + 1).reshape(-1, k, 1) + actions)
+
+    # slot of each sensor's latest success; the AoI is the distance to it
+    slots = np.arange(start, start + k)[:, None]
+    before = (start - aoi)[:, None]
+    latest = np.maximum.accumulate(np.where(outcomes, slots, before), axis=1)
+    ages = slots - np.concatenate([before, latest[:, :-1]], axis=1)
+    aoi[:] = start + k - latest[:, -1]
+    return _Chunk(start=start, path=path, actions=actions, outcomes=outcomes, aoi=ages)
+
+
+def _chunks(state: SimState, scenario: Scenario, blocks, horizon: int, stops=()):
+    """Advance ``horizon`` slots in chunks, ending a chunk at every stop slot.
+
+    Each chunk walks the channel once, then yields ``(i, chunk)`` for every
+    block ``blocks[i]`` in turn, so one block's chunk arrays are alive at a time.
+    """
     done = 0
     for stop in sorted({c for c in stops if 1 <= c < horizon} | {horizon}):
         while done < stop:
             k = min(_CHUNK, stop - done)
-            yield _advance(state, scenario, policy, k)
+            start = state.slot
+            path, uniforms = _walk(state, scenario, k)
+            for i, block in enumerate(blocks):
+                yield i, _advance(block, start, path, uniforms)
             done += k
 
 
 def _records(chunk: _Chunk, scenario: Scenario, count: int):
-    """Slot records of the chunk's first ``count`` slots."""
-    aoi = chunk.aoi[:count]
+    """Slot records of a one-cell chunk's first ``count`` slots."""
+    aoi = chunk.aoi[0, :count]
     top = int(aoi.max(initial=1))
     costs = np.stack(
         [cf.tables(top)[0][aoi[:, i]] for i, cf in enumerate(scenario.cost_functions)],
@@ -346,8 +402,8 @@ def _records(chunk: _Chunk, scenario: Scenario, count: int):
         yield SlotRecord(
             slot=chunk.start + t,
             channel_state=channel_state,
-            actions=chunk.actions[t].copy(),
-            outcomes=chunk.outcomes[t].copy(),
+            actions=chunk.actions[0, t].copy(),
+            outcomes=chunk.outcomes[0, t].copy(),
             aoi=aoi[t].copy(),
             costs=costs[t].copy(),
         )
@@ -362,43 +418,63 @@ def step(
     a success resets the sensor's AoI to 1 for the next slot, any other
     sensor's AoI grows by one, and the channel advances one transition.
     """
-    chunk = _advance(state, scenario, policy, 1)
+    start = state.slot
+    path, uniforms = _walk(state, scenario, 1)
+    chunk = _advance(_one_cell(state, scenario, policy), start, path, uniforms)
     return state, next(_records(chunk, scenario, 1)) if want_record else None
 
 
 class _Tally:
-    """Cycle lengths and per-sensor AoI occupancy histograms of a run so far."""
+    """Per-cell, per-sensor AoI occupancy histograms of a block of cells so far.
 
-    def __init__(self, scenario: Scenario):
+    With ``cycles`` it also keeps the cycle lengths of a one-cell run.
+    """
+
+    def __init__(self, scenario: Scenario, cells: int = 1, cycles: bool = True):
         self.cost_functions = scenario.cost_functions
-        self.cycles: list[list[np.ndarray]] = [[] for _ in range(scenario.num_sensors)]
-        self.occupancy = np.zeros((scenario.num_sensors, 2), dtype=np.int64)
+        n = scenario.num_sensors
+        self.cycles: list[list[np.ndarray]] | None = [[] for _ in range(n)] if cycles else None
+        self.occupancy = np.zeros((cells, n, 2), dtype=np.int64)
 
     def add(self, chunk: _Chunk) -> None:
         aoi = chunk.aoi
-        for i, cycles in enumerate(self.cycles):
-            cycles.append(aoi[chunk.outcomes[:, i], i])  # cycle length = AoI at success
-        n, width = self.occupancy.shape
+        if self.cycles is not None:
+            for i, cycles in enumerate(self.cycles):
+                cycles.append(aoi[0, chunk.outcomes[0, :, i], i])  # cycle length = AoI at success
+        cells, n, width = self.occupancy.shape
         width = max(width, int(aoi.max()) + 1)
-        flat = (aoi + width * np.arange(n)).ravel()
-        counts = np.bincount(flat, minlength=n * width).reshape(n, width)
-        counts[:, : self.occupancy.shape[1]] += self.occupancy
+        flat = (aoi + width * np.arange(cells * n).reshape(cells, 1, n)).ravel()
+        counts = np.bincount(flat, minlength=cells * n * width).reshape(cells, n, width)
+        counts[..., : self.occupancy.shape[2]] += self.occupancy
         self.occupancy = counts
 
+    def log_costs(self, slots: int) -> np.ndarray:
+        """Per cell and sensor, the log of the average cost over ``slots`` slots.
+
+        An age never held adds a ``log 0 = -inf`` term, which ``logaddexp``
+        passes over exactly, so each entry is the sequential log-sum over the
+        occupied ages alone.
+        """
+        width = self.occupancy.shape[2]
+        logs = np.array([cf.tables(width - 1)[1][1:] for cf in self.cost_functions])
+        with np.errstate(divide="ignore"):
+            terms = logs + np.log(self.occupancy[..., 1:])
+        return np.logaddexp.reduce(terms, axis=2) - math.log(slots)
+
     def costs(self, slots: int) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Per-sensor average cost, its log, and whether any cost overflowed."""
-        avg, log_avg = [], []
+        """One cell's per-sensor average cost, its log, and whether any cost overflowed."""
+        log_avg = self.log_costs(slots)[0]
+        avg = []
         saturated = False
-        for counts, cf in zip(self.occupancy, self.cost_functions):
+        for counts, cf, log in zip(self.occupancy[0], self.cost_functions, log_avg):
             ages = np.flatnonzero(counts)
-            lin, log = (table[ages] for table in cf.tables(int(ages[-1])))
-            log_avg.append(np.logaddexp.reduce(log + np.log(counts[ages])) - math.log(slots))
+            lin = cf.tables(int(ages[-1]))[0][ages]
             if np.isinf(lin).any():
                 saturated = True
-                avg.append(math.exp(log_avg[-1]) if log_avg[-1] < _LOG_MAX_FLOAT else math.inf)
+                avg.append(math.exp(log) if log < _LOG_MAX_FLOAT else math.inf)
             else:
                 avg.append(counts[ages] @ lin / slots)
-        return np.array(avg), np.array(log_avg), saturated
+        return np.array(avg), log_avg, saturated
 
     def summary(self, policy, horizon: int, seed, **extra) -> "SimSummary":
         avg, log_avg, saturated = self.costs(horizon)
@@ -483,16 +559,44 @@ def run(
     last_recorded = horizon if record_limit is None else record_limit
     checkpoint_set = {int(c) for c in checkpoints}
     checkpoint_log: dict[int, float] = {}
-    for chunk in _chunks(state, scenario, policy, horizon, checkpoint_set):
+    blocks = [_one_cell(state, scenario, policy)]
+    for _, chunk in _chunks(state, scenario, blocks, horizon, checkpoint_set):
         tally.add(chunk)
         end = state.slot - 1
         if record_hook is not None and chunk.start <= last_recorded:
             for record in _records(chunk, scenario, min(end, last_recorded) - chunk.start + 1):
                 record_hook(record)
         if end in checkpoint_set:
-            _, logs, _ = tally.costs(end)
-            checkpoint_log[end] = float(np.logaddexp.reduce(logs))
+            checkpoint_log[end] = float(np.logaddexp.reduce(tally.log_costs(end)[0]))
     return tally.summary(policy, horizon, seed, checkpoint_log_total=checkpoint_log)
+
+
+def _run_cells(scenario: Scenario, policy, drops: np.ndarray, horizon: int, seed):
+    """Log total running-average cost of many cells at ``horizon`` and ``2 horizon``.
+
+    The cells differ only in their drop tables (``drops``, cells x S x M).
+    Every cell starts from the seed's start state and runs on the seed's one
+    walk of the channel, so each gets the :func:`run` it would get alone.
+    The cells advance in blocks of at most ``_CELL_SLOTS`` cell-slots per
+    chunk, each block on a fresh copy of the built-in ``policy``.
+    """
+    state = initial_state(scenario, seed)
+    size = max(1, _CELL_SLOTS // min(_CHUNK, 2 * horizon))
+    blocks, tallies = [], []
+    for lo in range(0, len(drops), size):
+        part = drops[lo : lo + size]
+        aoi = np.ones((len(part), scenario.num_sensors), dtype=int)
+        blocks.append(_Block(part, policy._for_cells(part), aoi))
+        tallies.append(_Tally(scenario, len(part), cycles=False))
+    logs = {horizon: np.empty(len(drops)), 2 * horizon: np.empty(len(drops))}
+    for i, chunk in _chunks(state, scenario, blocks, 2 * horizon, logs):
+        tallies[i].add(chunk)
+        end = state.slot - 1
+        if end in logs:
+            logs[end][i * size : (i + 1) * size] = np.logaddexp.reduce(
+                tallies[i].log_costs(end), axis=1
+            )
+    return logs[horizon], logs[2 * horizon]
 
 
 def _psd_factor(mat: np.ndarray) -> np.ndarray:
@@ -595,13 +699,13 @@ def full_physics_run(
         for p, cf in zip(scenario.processes, scenario.cost_functions)
     ]
     edges = np.cumsum([0] + [p.state_dim + p.measurement_dim for p in scenario.processes])
-    for chunk in _chunks(state, scenario, policy, horizon):
+    for _, chunk in _chunks(state, scenario, [_one_cell(state, scenario, policy)], horizon):
         tally.add(chunk)
         k = len(chunk.path)
         noise = noise_rng.standard_normal((k, edges[-1]))
         scored = np.arange(chunk.start, chunk.start + k) > burn_in
         for i, plant in enumerate(plants):
-            plant.observe(noise[:, edges[i] : edges[i + 1]], chunk.aoi[:, i], scored)
+            plant.observe(noise[:, edges[i] : edges[i + 1]], chunk.aoi[0, :, i], scored)
 
     counts = np.array([p.counts for p in plants])
     sq_sums = np.array([p.sq_sums for p in plants])

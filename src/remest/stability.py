@@ -328,7 +328,9 @@ def cycle_length_pmf(analysis: CycleAnalysis, state: int, j_max: int) -> CyclePm
     """Cycle-length pmf for cycles opening in the given cascaded state.
 
     ``P(T = j) = sum_k [F^(j-1) S]_{state, k}`` evaluated for j up to
-    ``j_max``; the remaining mass is reported as the tail.
+    ``j_max``.  The tail ``P(T > j_max)`` is ``[F^j_max (I - F)^-1 S 1]_state``,
+    one solve; ``1 - sum(probs)`` would leave only rounding noise once the
+    series has converged.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
@@ -342,7 +344,8 @@ def cycle_length_pmf(analysis: CycleAnalysis, state: int, j_max: int) -> CyclePm
     for j in range(j_max):
         probs[j] = float(row @ success_mass)
         row = row @ analysis.fail_step
-    tail = max(0.0, 1.0 - float(probs.sum()))
+    beyond = np.linalg.solve(np.eye(n) - analysis.fail_step, success_mass)
+    tail = max(0.0, float(row @ beyond))
     return CyclePmf(state=state, probs=probs, tail=tail, fail_radius=analysis.fail_radius)
 
 

@@ -13,7 +13,7 @@ they diff cleanly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .channel import CascadedChain, _check_probabilities
 from .errors import ScenarioValidationError
 from .process import spectral_radius
 from .scenario import AxisSpec, LoadedScenario, SweepSpec
-from .sim import Scenario, make_policy, run
+from .sim import Scenario, _run_cells, make_policy
 from .stability import STABLE, current_csi_factor, delayed_csi_factor
 from .stability import max_plant_spectral_radius, verdict_for
 
@@ -193,7 +193,11 @@ def sweep_simulated(
     Each seed runs for 2 * horizon slots; the recorded growth ratio is the
     total running-average cost at 2T over the one at T.  Ratios near 1 mean
     the average has settled (stable); ratios well above 1 flag divergence.
-    Also returns the analytic sweep for the same grid, for side-by-side use.
+    Every cell of a seed starts from the same state and sees the same
+    uniforms, so the channel is walked once per seed and every cell runs on
+    that path, in blocks of bounded size; each cell gets exactly the
+    :func:`~remest.sim.run` of its own overridden chain.  Also returns the
+    analytic sweep for the same grid, for side-by-side use.
     """
     sim_spec = loaded.sim
     if horizon is None:
@@ -204,37 +208,21 @@ def sweep_simulated(
         policy_name = sim_spec.policy if sim_spec else "persistent-serial"
     analytic = sweep_stability(loaded, grid=grid)
     scenario = loaded.scenario
-    axes = loaded.sweep.axes
-    cells = []
-    for i, v1 in enumerate(analytic.values1):
-        for j, v2 in enumerate(analytic.values2):
-            chain = apply_axes(scenario, axes, (float(v1), float(v2)))
-            cell_scenario = replace(scenario, chain=chain)
-            ratios = []
-            log10_final = math.nan
-            for k, seed in enumerate(seeds):
-                policy = make_policy(policy_name, cell_scenario)
-                summary = run(
-                    cell_scenario,
-                    policy,
-                    horizon=2 * horizon,
-                    seed=seed,
-                    checkpoints=(horizon, 2 * horizon),
-                )
-                log_t = summary.checkpoint_log_total[horizon]
-                log_2t = summary.checkpoint_log_total[2 * horizon]
-                ratios.append(math.exp(log_2t - log_t))
-                if k == 0:
-                    log10_final = log_2t / math.log(10.0)
-            cells.append(
-                SimulatedCell(
-                    value1=float(v1),
-                    value2=float(v2),
-                    growth_ratios=tuple(ratios),
-                    log10_final=log10_final,
-                )
-            )
-    return analytic, cells
+    policy = make_policy(policy_name, scenario)
+    values = [(float(v1), float(v2)) for v1 in analytic.values1 for v2 in analytic.values2]
+    drops = np.array([apply_axes(scenario, loaded.sweep.axes, v).drops for v in values])
+    ratios = []
+    log10_final = [math.nan] * len(values)
+    for k, seed in enumerate(seeds):
+        log_t, log_2t = _run_cells(scenario, policy, drops, horizon, seed)
+        # math.exp per cell: numpy's vector exp can differ in the last bit
+        ratios.append([math.exp(b - a) for a, b in zip(log_t.tolist(), log_2t.tolist())])
+        if k == 0:
+            log10_final = [b / math.log(10.0) for b in log_2t.tolist()]
+    return analytic, [
+        SimulatedCell(v1, v2, tuple(r[c] for r in ratios), log10_final[c])
+        for c, (v1, v2) in enumerate(values)
+    ]
 
 
 def write_simulated_csv(

@@ -5,13 +5,17 @@ radii come from Gelfand iteration or a full eigendecomposition instead of
 the production eigvals call, stationary vectors from matrix powers instead
 of the linear solve, the steady Kalman covariance from a long fixed-point
 loop with its own update formula, and semi-Markov statistics from jump-level
-sampling that never touches the cascaded chain.  Two slow references reuse
+sampling that never touches the cascaded chain.  Some references reuse
 production pieces on purpose: ``per_cell_sweep_factors``, the reference for
 the batched sweep, rebuilds each cell's chain through the channel model and
 calls the production current-CSI factor cell by cell;
 ``exhaustive_delayed_factor``, the reference for the delayed-CSI policy
 iteration, searches every selection tuple of the production failure
-matrices; ``reference_run``, the
+matrices; ``per_cell_simulated_sweep``, the reference for the simulated
+sweep's shared walk, runs the production ``run`` once per cell and seed on
+each cell's overridden chain; ``exact_expected_cycle_cost`` sums the
+cycle-cost series in closed form on the production cycle chain's failure
+and success steps; ``reference_run``, the
 reference for the chunked slot engine, is the per-slot simulation loop with
 Kahan-compensated cost sums, driving a policy through ``select`` and
 ``observe`` one slot at a time, and ``reference_policy`` gives per-slot
@@ -219,6 +223,47 @@ def per_cell_sweep_factors(loaded, grid: tuple[int, int]) -> np.ndarray:
                     drops[ax.target, ax.frequency - 1] = float(v)
             factor[i, j], _ = current_csi_factor(chain.with_drops(drops))
     return factor
+
+
+def per_cell_simulated_sweep(loaded, grid, horizon: int, seeds, policy_name: str):
+    """Simulated-sweep cells one ``run`` at a time, each on its overridden chain.
+
+    Every cell and seed builds its own policy and start state and walks the
+    channel on its own; growth ratios use ``math.exp`` of the difference of
+    the two checkpoint logs.
+    """
+    from remest.sim import make_policy, run
+    from remest.sweep import SimulatedCell, apply_axes
+
+    scenario = loaded.scenario
+    axes = loaded.sweep.axes
+    values = [np.linspace(ax.lo, ax.hi, count) for ax, count in zip(axes, grid)]
+    cells = []
+    for v1 in values[0]:
+        for v2 in values[1]:
+            cell_scenario = replace(scenario, chain=apply_axes(scenario, axes, (v1, v2)))
+            ratios, log10_final = [], math.nan
+            for k, seed in enumerate(seeds):
+                policy = make_policy(policy_name, cell_scenario)
+                logs = run(
+                    cell_scenario, policy, 2 * horizon, seed, checkpoints=(horizon, 2 * horizon)
+                ).checkpoint_log_total
+                ratios.append(math.exp(logs[2 * horizon] - logs[horizon]))
+                if k == 0:
+                    log10_final = logs[2 * horizon] / math.log(10.0)
+            cells.append(SimulatedCell(float(v1), float(v2), tuple(ratios), log10_final))
+    return cells
+
+
+def exact_expected_cycle_cost(analysis, rho: float, eta: float, state: int) -> float:
+    """``E[eta rho^(2T)]`` for cycles opening in ``state``, in closed form.
+
+    Summing ``eta rho^(2j) [F^(j-1) S 1]`` over all j gives
+    ``eta rho^2 [(I - rho^2 F)^-1 S 1]_state``, finite iff ``rho^2 rho(F) < 1``.
+    """
+    fail = analysis.fail_step
+    x = np.linalg.solve(np.eye(len(fail)) - rho**2 * fail, analysis.success_step.sum(axis=1))
+    return eta * rho**2 * float(x[state])
 
 
 def exhaustive_delayed_factor(chain, horizon: int) -> tuple[float, tuple[np.ndarray, ...]]:

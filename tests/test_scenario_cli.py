@@ -3,6 +3,7 @@ import pytest
 import yaml
 
 from remest import NonConvergentError, ScenarioParseError, ScenarioValidationError
+from remest import sim
 from remest.cli import main
 from remest.scenario import (
     bundled_scenario_path,
@@ -15,10 +16,11 @@ from remest.sweep import (
     compare_csi,
     sweep_simulated,
     sweep_stability,
+    write_simulated_csv,
     write_sweep_csv,
 )
 
-from oracles import cascaded_index, per_cell_sweep_factors
+from oracles import cascaded_index, per_cell_simulated_sweep, per_cell_sweep_factors
 
 
 def bundled_dict():
@@ -245,6 +247,30 @@ class TestSweep:
             assert np.all(ratios > 0.9) and np.all(ratios < 1.1)
 
 
+    @pytest.mark.parametrize("policy_name", ["persistent-serial", "round-robin", "greedy-topk"])
+    @pytest.mark.parametrize("per_cascade", [False, True], ids=["bundled", "per-cascade"])
+    @pytest.mark.parametrize("layout", ["default", "chunks", "blocks"])
+    def test_simulated_sweep_matches_per_cell_runs(
+        self, policy_name, per_cascade, layout, monkeypatch, tmp_path
+    ):
+        loaded = per_cascade_sweep_scenario() if per_cascade else load_bundled_scenario()
+        grid, horizon, seeds = (4, 3), 300, (1, 2)
+        if layout == "chunks":  # a chunk boundary inside each half of the run
+            monkeypatch.setattr(sim, "_CHUNK", 113)
+        elif layout == "blocks":  # 12 cells in blocks of 5, 5 and 2
+            monkeypatch.setattr(sim, "_CELL_SLOTS", 5 * 2 * horizon)
+        analytic, cells = sweep_simulated(loaded, grid, horizon, seeds, policy_name)
+        want = per_cell_simulated_sweep(loaded, grid, horizon, seeds, policy_name)
+        assert len(cells) == len(want) == 12
+        for got, ref in zip(cells, want):
+            assert (got.value1, got.value2) == (ref.value1, ref.value2)
+            assert got.growth_ratios == ref.growth_ratios
+            assert got.log10_final == ref.log10_final
+        write_simulated_csv(analytic, cells, tmp_path / "a.csv")
+        write_simulated_csv(analytic, want, tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 class TestCli:
     def test_validate_ok(self, capsys):
         assert main(["validate"]) == 0
@@ -343,3 +369,31 @@ class TestCli:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 3 + 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--mode", "delayed", "--L", "0"],
+            ["compare-csi", "--L", "0"],
+            ["compare-csi", "--L", "two"],
+            ["simulate", "--horizon", "0"],
+            ["simulate", "--horizon", "-5"],
+            ["sweep", "--grid", "1x3", "--out", "unused.csv"],
+            ["simulate", "--sweep-grid", "1x3", "--out", "unused.csv"],
+            ["simulate", "--sweep-grid", "3x0", "--out", "unused.csv"],
+        ],
+    )
+    def test_bad_integer_arguments_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_simulate_sweep_grid_requires_out_before_simulating(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("sweep_simulated called without --out")
+
+        monkeypatch.setattr("remest.cli.sweep_simulated", never)
+        assert main(["simulate", "--sweep-grid", "2x2", "--horizon", "300"]) == 2
+        assert "--out is required with --sweep-grid" in capsys.readouterr().err
+

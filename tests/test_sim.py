@@ -197,7 +197,7 @@ class TestPolicies:
         pol = PersistentSerialPolicy(s.num_sensors, s.chain)
         for state_idx in range(s.chain.num_states):
             actions = pol.select(np.ones(3, dtype=int), state_idx)
-            m = int(actions[pol._pointer])
+            m = int(actions[pol._pointer[0]])
             assert m == greedy_frequency_for(s.chain, state_idx, rank=1)
 
     def test_greedy_topk_schedules_costliest(self):
@@ -463,7 +463,7 @@ class TestInvalidActionsThroughRun:
         class Doubled(PersistentSerialPolicy):
             def plan(self, aoi, path, success):
                 actions = super().plan(aoi, path, success)
-                actions[len(path) // 2] = [2, 2, 0]
+                actions[:, len(path) // 2] = [2, 2, 0]
                 return actions
 
         s = example_scenario()

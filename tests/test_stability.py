@@ -30,6 +30,7 @@ from conftest import (
 )
 from oracles import (
     eig_spectral_radius,
+    exact_expected_cycle_cost,
     exhaustive_delayed_factor,
     gelfand_spectral_radius,
     harvest_cycles,
@@ -337,3 +338,22 @@ class TestExpectedCycleCost:
         hi = expected_cycle_cost_lower_bound(scalar_process(a), long, eta=1.0)
         assert lo.tail_term > 0
         assert lo.value <= hi.value + 1e-9
+
+    @pytest.mark.parametrize("j_max", [50, 100, 200, 400])
+    def test_never_above_exact_expectation(self, rng, j_max):
+        """A lower bound at every truncation, even once the series has converged.
+
+        These series converge within a few dozen terms, after which
+        ``1 - sum(probs)`` is rounding noise of order 1e-16; a tail term built
+        on it multiplies that noise by ``rho^(2 (j_max + 1))``.
+        """
+        for _ in range(12):
+            analysis = cycle_chain(build_cascaded_chain(random_semi_markov(rng, max_drop=0.9)))
+            rho = math.sqrt(0.9 / analysis.fail_radius)  # rho^2 rho(F) = 0.9
+            for state in analysis.pre_cycle_states:
+                pmf = cycle_length_pmf(analysis, state, j_max)
+                bound = expected_cycle_cost_lower_bound(scalar_process(rho), pmf, eta=0.7)
+                exact = exact_expected_cycle_cost(analysis, rho, 0.7, state)
+                assert bound.value <= exact * (1 + 1e-12)
+                if j_max == 400:  # 0.9^400 of the expectation is left out
+                    assert bound.value >= exact * (1 - 1e-12)
