@@ -15,7 +15,6 @@ from .channel import (
     drop_matrix,
     greedy_selection,
     hazard,
-    sample_next,
     sample_path,
     sample_paths,
     stationary_distribution,

@@ -36,6 +36,7 @@ from .errors import (
     NotIrreducibleError,
     PeriodicChainError,
     UnreachableHoldingTimeError,
+    with_field,
 )
 
 _ROW_SUM_TOL = 1e-6  # inputs beyond this are rejected, never renormalized
@@ -45,26 +46,38 @@ _STATIONARY_TOL = 1e-10
 def _as_matrix(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be a 2-d matrix, got shape {a.shape}")
+        raise with_field(
+            DimensionMismatchError(f"{name} must be a 2-d matrix, got shape {a.shape}"), name
+        )
+    if not np.all(np.isfinite(a)):
+        raise with_field(ValueError(f"{name} has a non-finite entry"), name)
     return a
 
 
-def _check_stochastic_rows(mat: np.ndarray, name: str) -> None:
-    if np.any(mat < 0):
-        bad = int(np.argwhere(mat < 0)[0][0])
-        raise ValueError(f"{name} row {bad} has a negative entry")
-    sums = mat.sum(axis=1)
-    off = np.abs(sums - 1.0)
-    if np.any(off > _ROW_SUM_TOL):
-        bad = int(np.argmax(off))
-        raise ValueError(
-            f"{name} row {bad} sums to {sums[bad]!r}, expected 1 within {_ROW_SUM_TOL}"
+def _check_shape(a: np.ndarray, shape: tuple[int, int], name: str) -> None:
+    if a.shape != shape:
+        raise with_field(
+            DimensionMismatchError(f"{name} must be {shape[0]}x{shape[1]}, got {a.shape}"), name
         )
 
 
+def _check_stochastic_rows(mat: np.ndarray, name: str) -> None:
+    """Reject the first row with a negative entry or a sum off 1 by more than the tolerance."""
+    sums = mat.sum(axis=1)
+    negative = np.any(mat < 0, axis=1)
+    bad = negative | ~(np.abs(sums - 1.0) <= _ROW_SUM_TOL)  # a NaN sum is bad too
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        if negative[i]:
+            fault = "has a negative entry"
+        else:
+            fault = f"sums to {float(sums[i])!r}, expected 1 within {_ROW_SUM_TOL}"
+        raise with_field(ValueError(f"{name} row {i} {fault}"), f"{name}[{i}]")
+
+
 def _check_probabilities(arr: np.ndarray, name: str) -> None:
-    if np.any(arr < 0) or np.any(arr > 1):
-        raise ValueError(f"{name} entries must lie in [0, 1]")
+    if not np.all((arr >= 0) & (arr <= 1)):  # NaN fails both
+        raise with_field(ValueError(f"{name} entries must lie in [0, 1]"), name)
 
 
 @dataclass(frozen=True)
@@ -91,16 +104,16 @@ class SemiMarkovChannelModel:
     cascade_drops: np.ndarray | None = None
 
     def __post_init__(self):
+        """Check every value; each error's ``field`` names the offending input."""
         levels = tuple(int(k) for k in self.levels_per_frequency)
         if not levels or any(k < 1 for k in levels):
-            raise ValueError("levels_per_frequency must be positive integers")
+            raise with_field(
+                ValueError("levels_per_frequency must be positive integers"), "levels_per_frequency"
+            )
         object.__setattr__(self, "levels_per_frequency", levels)
         m_bar = int(np.prod(levels))
         tr = _as_matrix(self.transition, "transition")
-        if tr.shape != (m_bar, m_bar):
-            raise DimensionMismatchError(
-                f"transition must be {m_bar}x{m_bar} for levels {levels}, got {tr.shape}"
-            )
+        _check_shape(tr, (m_bar, m_bar), "transition")
         _check_stochastic_rows(tr, "transition")
         object.__setattr__(self, "transition", tr)
 
@@ -108,58 +121,41 @@ class SemiMarkovChannelModel:
         if pmf.ndim == 1:
             pmf = np.tile(pmf, (m_bar, 1))  # same holding law in every state
         if pmf.ndim != 2 or pmf.shape[0] != m_bar:
-            raise DimensionMismatchError(
-                f"holding_pmf must have {m_bar} rows, got shape {pmf.shape}"
+            raise with_field(
+                DimensionMismatchError(f"holding_pmf must have {m_bar} rows, got {pmf.shape}"),
+                "holding_pmf",
             )
         if pmf.shape[1] < 1:
-            raise ValueError("holding_pmf needs at least one column")
+            raise with_field(ValueError("holding_pmf needs at least one column"), "holding_pmf")
         _check_stochastic_rows(pmf, "holding_pmf")
         object.__setattr__(self, "holding_pmf", pmf)
 
-        given = [
-            name
-            for name, value in (
-                ("level_drops", self.level_drops),
-                ("state_drops", self.state_drops),
-                ("cascade_drops", self.cascade_drops),
-            )
-            if value is not None
-        ]
+        tables = ("level_drops", "state_drops", "cascade_drops")
+        given = [name for name in tables if getattr(self, name) is not None]
         if len(given) != 1:
-            raise ValueError(
-                f"exactly one drop table must be given, got {given or 'none'}"
-            )
+            raise ValueError(f"exactly one drop table must be given, got {given or 'none'}")
         m = len(levels)
         if self.level_drops is not None:
             ld = tuple(tuple(float(d) for d in row) for row in self.level_drops)
             if len(ld) != m:
-                raise DimensionMismatchError(
-                    f"level_drops needs one row per frequency ({m}), got {len(ld)}"
+                raise with_field(
+                    DimensionMismatchError(f"level_drops needs {m} rows, got {len(ld)}"),
+                    "level_drops",
                 )
             for freq, row in enumerate(ld):
+                name = f"level_drops[{freq}]"
                 if len(row) != levels[freq]:
-                    raise DimensionMismatchError(
-                        f"level_drops[{freq}] needs {levels[freq]} entries, got {len(row)}"
-                    )
-                _check_probabilities(np.asarray(row), f"level_drops[{freq}]")
+                    fault = f"{name} needs {levels[freq]} entries, got {len(row)}"
+                    raise with_field(DimensionMismatchError(fault), name)
+                _check_probabilities(np.asarray(row), name)
             object.__setattr__(self, "level_drops", ld)
-        if self.state_drops is not None:
-            sd = _as_matrix(self.state_drops, "state_drops")
-            if sd.shape != (m_bar, m):
-                raise DimensionMismatchError(
-                    f"state_drops must be {m_bar}x{m}, got {sd.shape}"
-                )
-            _check_probabilities(sd, "state_drops")
-            object.__setattr__(self, "state_drops", sd)
-        if self.cascade_drops is not None:
-            m_til = m_bar * pmf.shape[1]
-            cd = _as_matrix(self.cascade_drops, "cascade_drops")
-            if cd.shape != (m_til, m):
-                raise DimensionMismatchError(
-                    f"cascade_drops must be {m_til}x{m}, got {cd.shape}"
-                )
-            _check_probabilities(cd, "cascade_drops")
-            object.__setattr__(self, "cascade_drops", cd)
+        m_til = m_bar * pmf.shape[1]
+        for name, shape in (("state_drops", (m_bar, m)), ("cascade_drops", (m_til, m))):
+            if getattr(self, name) is not None:
+                table = _as_matrix(getattr(self, name), name)
+                _check_shape(table, shape, name)
+                _check_probabilities(table, name)
+                object.__setattr__(self, name, table)
 
     @property
     def num_frequencies(self) -> int:
@@ -264,10 +260,7 @@ class CascadedChain:
     def with_drops(self, drops: np.ndarray) -> "CascadedChain":
         """Same chain with a replacement per-cascaded-state drop table."""
         drops = _as_matrix(drops, "drops")
-        if drops.shape != self.drops.shape:
-            raise DimensionMismatchError(
-                f"drops must be {self.drops.shape}, got {drops.shape}"
-            )
+        _check_shape(drops, self.drops.shape, "drops")
         _check_probabilities(drops, "drops")
         return replace(self, drops=drops)  # shares the sampling tables and pi
 
@@ -375,8 +368,8 @@ def greedy_selection(chain: CascadedChain) -> np.ndarray:
     return np.argmin(chain.drops, axis=1).astype(int) + 1
 
 
-def drop_matrix(chain: CascadedChain, selection: np.ndarray) -> np.ndarray:
-    """Diagonal matrix of drop probabilities under a selection vector."""
+def _selection_vector(chain: CascadedChain, selection) -> np.ndarray:
+    """``selection`` as ints, checked to pick a frequency 1..M in every cascaded state."""
     sel = np.asarray(selection, dtype=int)
     if sel.shape != (chain.num_states,):
         raise DimensionMismatchError(
@@ -386,12 +379,13 @@ def drop_matrix(chain: CascadedChain, selection: np.ndarray) -> np.ndarray:
         raise FrequencyOutOfRangeError(
             f"selection entries must be in 1..{chain.num_frequencies}"
         )
+    return sel
+
+
+def drop_matrix(chain: CascadedChain, selection: np.ndarray) -> np.ndarray:
+    """Diagonal matrix of drop probabilities under a selection vector."""
+    sel = _selection_vector(chain, selection)
     return np.diag(chain.drops[np.arange(chain.num_states), sel - 1])
-
-
-def sample_next(chain: CascadedChain, current: int, rng: np.random.Generator) -> int:
-    """Draw the next cascaded state from the row of the current one."""
-    return bisect_right(chain._cum_tuples[current], rng.random())
 
 
 def sample_path(
@@ -401,8 +395,9 @@ def sample_path(
     path = np.empty(num_steps + 1, dtype=int)
     path[0] = start
     state = start
+    cum = chain._cum_tuples
     for t in range(1, num_steps + 1):
-        state = sample_next(chain, state, rng)
+        state = bisect_right(cum[state], rng.random())
         path[t] = state
     return path
 
@@ -456,8 +451,7 @@ def stationary_distribution(p: np.ndarray, tol: float = _STATIONARY_TOL) -> np.n
     """
     p = _as_matrix(p, "transition matrix")
     n = p.shape[0]
-    if p.shape != (n, n):
-        raise DimensionMismatchError("transition matrix must be square")
+    _check_shape(p, (n, n), "transition matrix")
     _check_stochastic_rows(p, "transition matrix")
     _validate_chain(p, list(range(n)))
 

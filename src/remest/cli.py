@@ -32,14 +32,22 @@ EXIT_OK = 0
 EXIT_SCENARIO = 2
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+        value = minimum - 1
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _seed(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -54,10 +62,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(s) for s in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+    return tuple(_seed(s) for s in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario(p_sim)
     p_sim.add_argument("--out", default=None, help="summary CSV path (default: stdout table)")
     p_sim.add_argument("--horizon", type=_positive_int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None, help="single seed (overrides --seeds)")
+    p_sim.add_argument("--seed", type=_seed, default=None, help="single seed (overrides --seeds)")
     p_sim.add_argument("--seeds", type=_parse_seeds, default=None, help="comma-separated seeds")
     p_sim.add_argument("--policy", choices=sorted(POLICIES), default=None)
     p_sim.add_argument(
@@ -108,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="instead of one run, simulate every cell of this grid",
     )
     p_sim.add_argument("--trace", default=None, help="per-slot trace CSV path")
-    p_sim.add_argument("--trace-slots", type=int, default=1000, help="max slots to trace")
+    p_sim.add_argument("--trace-slots", type=_positive_int, default=1000, help="max slots to trace")
 
     p_cmp = sub.add_parser("compare-csi", help="current vs delayed CSI factors")
     add_scenario(p_cmp)
@@ -279,7 +284,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "simulate" and args.sweep_grid and (args.full_physics or args.trace):
+        parser.error("simulate: --sweep-grid cannot be combined with --full-physics or --trace")
     try:
         return _COMMANDS[args.command](args)
     except ScenarioError as exc:

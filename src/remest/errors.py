@@ -1,6 +1,15 @@
 """Exception types shared across the package."""
 
 
+def with_field(exc: Exception, field: str) -> Exception:
+    """Tag a model error with the input field it concerns, e.g. ``transition[3]``.
+
+    The scenario loader reads ``exc.field`` to report the error at its YAML path.
+    """
+    exc.field = field
+    return exc
+
+
 class RemestError(Exception):
     """Base class for all package-specific errors."""
 

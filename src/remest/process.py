@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _as_matrix
+from .channel import _as_matrix, _check_shape
 from .errors import DimensionMismatchError, NonConvergentError
 
 # Plain covariance iterates are kept only while they stay comfortably inside
@@ -59,22 +59,18 @@ class ProcessModel:
     index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _as_matrix(self.A, "A"))
-        object.__setattr__(self, "C", _as_matrix(self.C, "C"))
-        object.__setattr__(self, "W", _as_matrix(self.W, "W"))
-        object.__setattr__(self, "Z", _as_matrix(self.Z, "Z"))
-        l = self.A.shape[0]
-        if self.A.shape != (l, l):
-            raise DimensionMismatchError(f"A must be square, got {self.A.shape}")
-        r = self.C.shape[0]
-        if self.C.shape != (r, l):
-            raise DimensionMismatchError(
-                f"C must have {l} columns to match A, got {self.C.shape}"
-            )
-        if self.W.shape != (l, l):
-            raise DimensionMismatchError(f"W must be {l}x{l}, got {self.W.shape}")
-        if self.Z.shape != (r, r):
-            raise DimensionMismatchError(f"Z must be {r}x{r}, got {self.Z.shape}")
+        """Check every value.
+
+        A shape error carries the offending matrix as ``field``; the symmetry
+        and definiteness errors name it in their message.
+        """
+        for name in ("A", "C", "W", "Z"):
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), name))
+        l, r = self.A.shape[0], self.C.shape[0]
+        _check_shape(self.A, (l, l), "A")
+        _check_shape(self.C, (r, l), "C")
+        _check_shape(self.W, (l, l), "W")
+        _check_shape(self.Z, (r, r), "Z")
         _check_symmetric(self.W, "W")
         _check_symmetric(self.Z, "Z")
         scale_w = max(1.0, float(np.max(np.abs(self.W))))

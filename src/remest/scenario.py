@@ -4,7 +4,14 @@ A scenario is a YAML document with the sections ``processes`` (plant and
 sensor matrices), ``channel`` (levels per frequency, quality transition
 matrix, holding-time pmf), ``drops`` (one of three granularities), and the
 optional ``sweep`` and ``sim`` sections consumed by the command-line tools.
-Validation failures carry the path of the offending field, e.g.
+
+The model constructors (``ProcessModel``, ``SemiMarkovChannelModel``) check
+every value: shapes, finiteness, row sums, signs, probability ranges and
+noise definiteness.  This module checks only the YAML structure (mappings,
+known and required fields, rectangular numeric matrices, integers) plus the
+``sweep`` and ``sim`` sections, and maps the model field named by a model
+error to its YAML path through ``_FIELD_PATHS``.  Validation failures
+therefore carry the path of the offending field, e.g.
 ``channel.transition[3]``.  Nothing is ever silently renormalized; a row
 that does not sum to 1 is the scenario author's problem to fix.
 """
@@ -19,8 +26,8 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .errors import ScenarioParseError, ScenarioValidationError
-from .channel import _ROW_SUM_TOL, SemiMarkovChannelModel
+from .channel import SemiMarkovChannelModel
+from .errors import DimensionMismatchError, ScenarioParseError, ScenarioValidationError
 from .sim import POLICIES, Scenario
 
 BUNDLED_EXAMPLE = "three_sensor_two_frequency"
@@ -81,6 +88,7 @@ def _reject_unknown(data: dict, known: set[str], path: str) -> None:
 
 
 def _matrix(obj, path: str) -> np.ndarray:
+    """A rectangular list of numeric rows; the model would coerce bools and strings."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ScenarioValidationError("expected a list of numeric rows", path)
     width = len(obj[0])
@@ -96,21 +104,43 @@ def _matrix(obj, path: str) -> np.ndarray:
     return np.asarray(obj, dtype=float)
 
 
-def _check_rows_stochastic(mat: np.ndarray, path: str) -> None:
-    for i, row in enumerate(mat):
-        if np.any(row < 0):
-            raise ScenarioValidationError("contains a negative entry", f"{path}[{i}]")
-        s = float(row.sum())
-        if abs(s - 1.0) > _ROW_SUM_TOL:
-            raise ScenarioValidationError(
-                f"row sums to {s!r}, expected 1 within {_ROW_SUM_TOL}", f"{path}[{i}]"
-            )
-
-
 def _int_field(value, path: str, minimum: int = 1) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ScenarioValidationError(f"expected an integer >= {minimum}", path)
     return value
+
+
+# YAML drop-table key -> model field
+_DROP_TABLES = {
+    "per_level": "level_drops",
+    "per_state": "state_drops",
+    "per_cascade": "cascade_drops",
+}
+
+# Model input field -> YAML path, where "{}" is the path of the model being
+# built.  An indexed field such as ``transition[3]`` keeps its index.
+_FIELD_PATHS = {
+    "levels_per_frequency": "channel.levels_per_frequency",
+    "transition": "channel.transition",
+    "holding_pmf": "channel.holding_pmf",
+    **{field: f"drops.{key}" for key, field in _DROP_TABLES.items()},
+    **{name: "{}." + name for name in ("A", "C", "W", "Z")},
+    "index": "{}",
+}
+
+
+def _build(model, path: str, **fields):
+    """``model(**fields)``, re-raising a model error at the YAML path of its field.
+
+    The model checks every value; an error that names no field is reported
+    at ``path``, the path of the model itself.
+    """
+    try:
+        return model(**fields)
+    except (ValueError, DimensionMismatchError) as exc:
+        name, bracket, index = getattr(exc, "field", "").partition("[")
+        where = _FIELD_PATHS[name].format(path) + bracket + index if name else path
+        raise ScenarioValidationError(str(exc), where) from exc
 
 
 def _parse_processes(items, path: str):
@@ -125,10 +155,7 @@ def _parse_processes(items, path: str):
             raise ScenarioValidationError("expected a mapping with A, C, W, Z", p)
         _reject_unknown(entry, {"A", "C", "W", "Z"}, p)
         mats = {k: _matrix(_require(entry, k, p), f"{p}.{k}") for k in ("A", "C", "W", "Z")}
-        try:
-            models.append(ProcessModel(index=i, **mats))
-        except ValueError as exc:
-            raise ScenarioValidationError(str(exc), p) from exc
+        models.append(_build(ProcessModel, p, index=i, **mats))
     return models
 
 
@@ -144,30 +171,11 @@ def _parse_channel_and_drops(channel_data, drops_data, path: str) -> SemiMarkovC
             "expected a non-empty list of level counts", f"{path}.levels_per_frequency"
         )
     levels = [_int_field(k, f"{path}.levels_per_frequency[{i}]") for i, k in enumerate(levels)]
-    m_bar = int(np.prod(levels))
-
     transition = _matrix(_require(channel_data, "transition", path), f"{path}.transition")
-    if transition.shape != (m_bar, m_bar):
-        raise ScenarioValidationError(
-            f"must be {m_bar}x{m_bar} for levels {levels}, got {transition.shape}",
-            f"{path}.transition",
-        )
-    _check_rows_stochastic(transition, f"{path}.transition")
 
-    pmf_raw = _require(channel_data, "holding_pmf", path)
-    if isinstance(pmf_raw, list) and pmf_raw and not isinstance(pmf_raw[0], list):
-        pmf = _matrix([pmf_raw], f"{path}.holding_pmf")
-        pmf = np.tile(pmf, (m_bar, 1))
-        _check_rows_stochastic(pmf[:1], f"{path}.holding_pmf")
-    else:
-        pmf = _matrix(pmf_raw, f"{path}.holding_pmf")
-        if pmf.shape[0] != m_bar:
-            raise ScenarioValidationError(
-                f"needs {m_bar} rows (or a single shared row), got {pmf.shape[0]}",
-                f"{path}.holding_pmf",
-            )
-        _check_rows_stochastic(pmf, f"{path}.holding_pmf")
-
+    pmf = _require(channel_data, "holding_pmf", path)
+    shared = isinstance(pmf, list) and pmf and not isinstance(pmf[0], list)
+    pmf = _matrix([pmf] if shared else pmf, f"{path}.holding_pmf")
     if "max_holding" in channel_data:
         declared = _int_field(channel_data["max_holding"], f"{path}.max_holding")
         if declared != pmf.shape[1]:
@@ -178,52 +186,26 @@ def _parse_channel_and_drops(channel_data, drops_data, path: str) -> SemiMarkovC
 
     if not isinstance(drops_data, dict):
         raise ScenarioValidationError("expected a mapping", "drops")
-    _reject_unknown(drops_data, {"per_level", "per_state", "per_cascade"}, "drops")
+    _reject_unknown(drops_data, set(_DROP_TABLES), "drops")
     if len(drops_data) != 1:
         raise ScenarioValidationError(
             "exactly one of per_level, per_state, per_cascade must be given", "drops"
         )
-    kwargs: dict = {}
-    if "per_level" in drops_data:
-        table = drops_data["per_level"]
-        if not isinstance(table, list) or len(table) != len(levels):
-            raise ScenarioValidationError(
-                f"needs one row per frequency ({len(levels)})", "drops.per_level"
-            )
-        rows = []
-        for f, row in enumerate(table):
-            p = f"drops.per_level[{f}]"
-            if not isinstance(row, list) or len(row) != levels[f]:
-                raise ScenarioValidationError(
-                    f"needs {levels[f]} entries for frequency {f + 1}", p
-                )
-            for j, v in enumerate(row):
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 <= v <= 1:
-                    raise ScenarioValidationError(
-                        f"entry [{j}] must be a probability in [0, 1]", p
-                    )
-            rows.append(tuple(float(v) for v in row))
-        kwargs["level_drops"] = tuple(rows)
-    elif "per_state" in drops_data:
-        sd = _matrix(drops_data["per_state"], "drops.per_state")
-        if np.any(sd < 0) or np.any(sd > 1):
-            raise ScenarioValidationError("entries must lie in [0, 1]", "drops.per_state")
-        kwargs["state_drops"] = sd
+    ((kind, table),) = drops_data.items()
+    if kind == "per_level":  # one row per frequency, as long as its level count
+        if not isinstance(table, list):
+            raise ScenarioValidationError("expected a list of rows", "drops.per_level")
+        table = [_matrix([row], f"drops.per_level[{f}]")[0] for f, row in enumerate(table)]
     else:
-        cd = _matrix(drops_data["per_cascade"], "drops.per_cascade")
-        if np.any(cd < 0) or np.any(cd > 1):
-            raise ScenarioValidationError("entries must lie in [0, 1]", "drops.per_cascade")
-        kwargs["cascade_drops"] = cd
-
-    try:
-        return SemiMarkovChannelModel(
-            levels_per_frequency=tuple(levels),
-            transition=transition,
-            holding_pmf=pmf,
-            **kwargs,
-        )
-    except ValueError as exc:
-        raise ScenarioValidationError(str(exc), path) from exc
+        table = _matrix(table, f"drops.{kind}")
+    return _build(
+        SemiMarkovChannelModel,
+        path,
+        levels_per_frequency=tuple(levels),
+        transition=transition,
+        holding_pmf=pmf[0] if shared else pmf,
+        **{_DROP_TABLES[kind]: table},
+    )
 
 
 def _parse_sweep(
@@ -243,41 +225,22 @@ def _parse_sweep(
         if not isinstance(ax, dict):
             raise ScenarioValidationError("expected a mapping", p)
         if "level" in ax:
-            _reject_unknown(ax, {"frequency", "level", "min", "max"}, p)
-            if drops_kind != "per_level":
-                raise ScenarioValidationError(
-                    "level axes require a per_level drop table", p
-                )
-            kind = "level"
-            freq = _int_field(_require(ax, "frequency", p), f"{p}.frequency")
-            target = _int_field(_require(ax, "level", p), f"{p}.level")
-            if freq > num_freq:
-                raise ScenarioValidationError(
-                    f"frequency {freq} out of range 1..{num_freq}", p
-                )
-            if target > channel.levels_per_frequency[freq - 1]:
-                raise ScenarioValidationError(
-                    f"level {target} out of range for frequency {freq}", p
-                )
+            kind, key, table, first = "level", "level", "per_level", 1
         elif "state" in ax:
-            _reject_unknown(ax, {"frequency", "state", "min", "max"}, p)
-            if drops_kind != "per_cascade":
-                raise ScenarioValidationError(
-                    "state axes require a per_cascade drop table", p
-                )
-            kind = "cascade"
-            freq = _int_field(_require(ax, "frequency", p), f"{p}.frequency")
-            target = _int_field(_require(ax, "state", p), f"{p}.state", minimum=0)
-            if freq > num_freq:
-                raise ScenarioValidationError(
-                    f"frequency {freq} out of range 1..{num_freq}", p
-                )
-            if target >= num_cascaded:
-                raise ScenarioValidationError(
-                    f"state {target} out of range 0..{num_cascaded - 1}", p
-                )
+            kind, key, table, first = "cascade", "state", "per_cascade", 0
         else:
             raise ScenarioValidationError("axis needs either 'level' or 'state'", p)
+        _reject_unknown(ax, {"frequency", key, "min", "max"}, p)
+        if drops_kind != table:
+            raise ScenarioValidationError(f"{key} axes require a {table} drop table", p)
+        freq = _int_field(_require(ax, "frequency", p), f"{p}.frequency")
+        target = _int_field(_require(ax, key, p), f"{p}.{key}", minimum=first)
+        if freq > num_freq:
+            raise ScenarioValidationError(f"frequency {freq} out of range 1..{num_freq}", p)
+        if kind == "level" and target > channel.levels_per_frequency[freq - 1]:
+            raise ScenarioValidationError(f"level {target} out of range for frequency {freq}", p)
+        if kind == "cascade" and target >= num_cascaded:
+            raise ScenarioValidationError(f"state {target} out of range 0..{num_cascaded - 1}", p)
         lo = _require(ax, "min", p)
         hi = _require(ax, "max", p)
         for name, v in (("min", lo), ("max", hi)):
@@ -329,13 +292,7 @@ def parse_scenario_dict(data: dict, sha256: str = "") -> LoadedScenario:
     channel = _parse_channel_and_drops(
         _require(data, "channel", "scenario"), _require(data, "drops", "scenario"), "channel"
     )
-    drops_kind = (
-        "per_level"
-        if channel.level_drops is not None
-        else "per_state"
-        if channel.state_drops is not None
-        else "per_cascade"
-    )
+    (drops_kind,) = data["drops"]
     try:
         scenario = Scenario.build(processes, channel)
     except Exception as exc:

@@ -63,11 +63,9 @@ class Scenario:
             )
 
     @classmethod
-    def build(
-        cls, processes, channel: SemiMarkovChannelModel, validate_chain: bool = True
-    ) -> "Scenario":
+    def build(cls, processes, channel: SemiMarkovChannelModel) -> "Scenario":
         processes = tuple(processes)
-        chain = build_cascaded_chain(channel, validate=validate_chain)
+        chain = build_cascaded_chain(channel)
         costs = tuple(CostFunction(p) for p in processes)
         return cls(
             processes=processes, cost_functions=costs, channel=channel, chain=chain

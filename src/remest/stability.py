@@ -40,13 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CascadedChain, drop_matrix, greedy_selection, stationary_distribution
-from .errors import (
-    DimensionMismatchError,
-    DivergentSeriesError,
-    FrequencyOutOfRangeError,
-    NonConvergentError,
+from .channel import (
+    CascadedChain,
+    _selection_vector,
+    drop_matrix,
+    greedy_selection,
+    stationary_distribution,
 )
+from .errors import DivergentSeriesError, NonConvergentError
 from .process import ProcessModel, spectral_radius
 
 STABLE = "stable"
@@ -134,15 +135,7 @@ def delayed_failure_matrix(chain: CascadedChain, selection) -> np.ndarray:
     to a frequency while the channel is still in state i, and the packet is
     then dropped (or not) in the successor state j.
     """
-    sel = np.asarray(selection, dtype=int)
-    if sel.shape != (chain.num_states,):
-        raise DimensionMismatchError(
-            f"selection must have length {chain.num_states}, got shape {sel.shape}"
-        )
-    if np.any(sel < 1) or np.any(sel > chain.num_frequencies):
-        raise FrequencyOutOfRangeError(
-            f"selection entries must be in 1..{chain.num_frequencies}"
-        )
+    sel = _selection_vector(chain, selection)
     dest_drop = chain.drops[:, sel - 1]  # (dest j, origin i)
     return chain.transition * dest_drop.T
 

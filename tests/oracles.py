@@ -19,13 +19,16 @@ and success steps; ``reference_run``, the
 reference for the chunked slot engine, is the per-slot simulation loop with
 Kahan-compensated cost sums, driving a policy through ``select`` and
 ``observe`` one slot at a time, and ``reference_policy`` gives per-slot
-implementations of the three scheduling policies for it to drive.
+implementations of the three scheduling policies for it to drive;
+``sample_next``, its one-draw channel step, inverts the production chain's
+cumulative rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -421,9 +424,13 @@ class CostAccumulator:
         return self.log_total - math.log(horizon)
 
 
+def sample_next(chain, current: int, rng) -> int:
+    """Draw the next cascaded state from the row of the current one, one uniform per draw."""
+    return bisect_right(chain._cum_tuples[current], rng.random())
+
+
 def reference_step(state, scenario, policy, want_record: bool = True):
     """One slot: select, draw M outcome uniforms, observe, one channel draw."""
-    from remest.channel import sample_next
     from remest.errors import InvalidActionError
     from remest.sim import SlotRecord
 

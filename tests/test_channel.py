@@ -13,7 +13,6 @@ from remest import (
     drop_matrix,
     greedy_selection,
     hazard,
-    sample_next,
     sample_path,
     sample_paths,
     stationary_distribution,
@@ -25,6 +24,7 @@ from oracles import (
     cascaded_index,
     harvest_holding_periods,
     power_method_stationary,
+    sample_next,
     semi_markov_slot_states,
     tv_distance,
 )

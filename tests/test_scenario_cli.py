@@ -1,11 +1,21 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 import yaml
 
-from remest import NonConvergentError, ScenarioParseError, ScenarioValidationError
+from remest import (
+    NonConvergentError,
+    ProcessModel,
+    ScenarioParseError,
+    ScenarioValidationError,
+    SemiMarkovChannelModel,
+)
 from remest import sim
 from remest.cli import main
 from remest.scenario import (
+    _FIELD_PATHS,
     bundled_scenario_path,
     load_bundled_scenario,
     load_scenario,
@@ -145,6 +155,78 @@ class TestLoadScenario:
         data["sweep"]["axes"][1] = dict(data["sweep"]["axes"][0])
         with pytest.raises(ScenarioValidationError, match="distinct"):
             parse_scenario_dict(data)
+
+
+# One fault per model check: (keys to the replaced node, new value, expected path).
+# The paths are a contract: error messages may change, paths may not.
+MODEL_FAULTS = {
+    "transition-shape": (("channel", "transition"), [[0.2, 0.3, 0.5]] * 3, "channel.transition"),
+    "transition-row-sum": (
+        ("channel", "transition", 1), [0.3, 0.1, 0.4, 0.3], "channel.transition[1]"
+    ),
+    "transition-negative": (
+        ("channel", "transition", 2), [1.1, -0.1, 0.0, 0.0], "channel.transition[2]"
+    ),
+    "holding-row-count": (("channel", "holding_pmf"), [[0.5, 0.5]] * 3, "channel.holding_pmf"),
+    "holding-shared-row": (("channel", "holding_pmf"), [0.5, 0.6], "channel.holding_pmf[0]"),
+    "holding-state-row": (
+        ("channel", "holding_pmf"),
+        [[0.5, 0.5], [0.5, 0.5], [0.7, 0.5], [0.5, 0.5]],
+        "channel.holding_pmf[2]",
+    ),
+    "per-level-rows": (("drops", "per_level"), [[0.5, 0.8]], "drops.per_level"),
+    "per-level-row-length": (("drops", "per_level"), [[0.5, 0.8], [0.2]], "drops.per_level[1]"),
+    "per-level-range": (("drops", "per_level"), [[0.5, 1.8], [0.2, 0.9]], "drops.per_level[0]"),
+    "per-state-shape": (("drops",), {"per_state": [[0.1, 0.2]] * 3}, "drops.per_state"),
+    "per-state-range": (
+        ("drops",), {"per_state": [[0.1, 0.2]] * 3 + [[-0.1, 0.2]]}, "drops.per_state"
+    ),
+    "per-cascade-shape": (("drops",), {"per_cascade": [[0.1, 0.2]] * 5}, "drops.per_cascade"),
+    "per-cascade-range": (
+        ("drops",), {"per_cascade": [[0.1, 0.2]] * 7 + [[1.5, 0.2]]}, "drops.per_cascade"
+    ),
+    "A-shape": (("processes", 1, "A"), [[1.2, 0.0]], "processes[1].A"),
+    "C-shape": (("processes", 0, "C"), [[1.0, 0.0]], "processes[0].C"),
+    "W-shape": (("processes", 0, "W"), [[1.0, 0.0], [0.0, 1.0]], "processes[0].W"),
+    "Z-shape": (("processes", 2, "Z"), [[1.0, 0.0], [0.0, 1.0]], "processes[2].Z"),
+    "W-not-psd": (("processes", 0, "W"), [[-1.0]], "processes[0]"),
+    "Z-not-pd": (("processes", 0, "Z"), [[0.0]], "processes[0]"),
+    "transition-nan": (
+        ("channel", "transition", 0), [math.nan, 0.2, 0.3, 0.4], "channel.transition"
+    ),
+    "holding-nan": (("channel", "holding_pmf"), [0.5, math.nan], "channel.holding_pmf[0]"),
+    "per-level-nan": (("drops", "per_level"), [[math.nan, 0.8], [0.2, 0.9]], "drops.per_level[0]"),
+    "W-inf": (("processes", 0, "W"), [[math.inf]], "processes[0].W"),
+}
+
+
+def faulty_dict(keys, value):
+    data = bundled_dict()
+    if keys[0] == "drops":
+        del data["sweep"]  # its level axes would need a per_level table
+    *head, last = keys
+    node = data
+    for k in head:
+        node = node[k]
+    node[last] = value
+    return data
+
+
+class TestPathContract:
+    @pytest.mark.parametrize("keys, value, path", MODEL_FAULTS.values(), ids=MODEL_FAULTS)
+    def test_model_error_reported_at_yaml_path(self, keys, value, path, tmp_path, capsys):
+        data = faulty_dict(keys, value)
+        with pytest.raises(ScenarioValidationError) as exc:
+            parse_scenario_dict(data)
+        assert exc.value.path == path
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(data))
+        assert main(["validate", "--scenario", str(p)]) == 2
+        assert f"scenario error: {path}: " in capsys.readouterr().err
+
+    def test_every_model_field_has_a_path(self):
+        inputs = {f.name for model in (SemiMarkovChannelModel, ProcessModel) for f in fields(model)}
+        assert inputs <= set(_FIELD_PATHS)
 
 
 class TestSweep:
@@ -381,6 +463,9 @@ class TestCli:
             ["sweep", "--grid", "1x3", "--out", "unused.csv"],
             ["simulate", "--sweep-grid", "1x3", "--out", "unused.csv"],
             ["simulate", "--sweep-grid", "3x0", "--out", "unused.csv"],
+            ["simulate", "--seed", "-1"],
+            ["simulate", "--seeds", "1,-2"],
+            ["simulate", "--trace-slots", "-3"],
         ],
     )
     def test_bad_integer_arguments_exit_2(self, argv, capsys):
@@ -397,3 +482,18 @@ class TestCli:
         assert main(["simulate", "--sweep-grid", "2x2", "--horizon", "300"]) == 2
         assert "--out is required with --sweep-grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--full-physics"], ["--trace", "t.csv"]])
+    def test_simulate_sweep_grid_rejects_single_run_flags(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("sweep_simulated called with a single-run flag")
+
+        monkeypatch.setattr("remest.cli.sweep_simulated", never)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--sweep-grid", "2x2", "--out", "o.csv", *flag])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--sweep-grid cannot be combined" in err
+        assert list(tmp_path.iterdir()) == []
