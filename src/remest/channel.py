@@ -446,8 +446,9 @@ def chain_stationary(chain: CascadedChain, tol: float = _STATIONARY_TOL) -> np.n
 def stationary_distribution(p: np.ndarray, tol: float = _STATIONARY_TOL) -> np.ndarray:
     """Stationary probability vector of an irreducible aperiodic chain.
 
-    Solves the balance equations together with the normalization constraint
-    by least squares, then verifies the fixed point to ``tol``.
+    One LU solve of the balance equations ``(P^T - I) pi = 0`` with the last
+    one replaced by the normalization ``1^T pi = 1``, then verifies the fixed
+    point to ``tol``.
     """
     p = _as_matrix(p, "transition matrix")
     n = p.shape[0]
@@ -455,10 +456,11 @@ def stationary_distribution(p: np.ndarray, tol: float = _STATIONARY_TOL) -> np.n
     _check_stochastic_rows(p, "transition matrix")
     _validate_chain(p, list(range(n)))
 
-    system = np.vstack([p.T - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    pi, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    system = p.T - np.eye(n)
+    system[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    pi = np.linalg.solve(system, rhs)
     pi = np.clip(pi, 0.0, None)
     total = pi.sum()
     if total <= 0.0:

@@ -214,21 +214,18 @@ def _cmd_simulate(args) -> int:
         return EXIT_OK
 
     rows = []
-    trace_fh = None
     for k, seed in enumerate(seeds):
         policy = make_policy(policy_name, scenario)
-        hook = None
-        if args.trace and k == 0:
-            trace_fh, hook = _trace_writer(args.trace)
         if args.full_physics:
             summary = full_physics_run(scenario, policy, horizon, seed)
+        elif args.trace and k == 0:
+            trace_fh, hook = _trace_writer(args.trace)
+            with trace_fh:
+                summary = run(
+                    scenario, policy, horizon, seed, record_hook=hook, record_limit=args.trace_slots
+                )
         else:
-            summary = run(
-                scenario, policy, horizon, seed, record_hook=hook, record_limit=args.trace_slots
-            )
-        if trace_fh is not None and k == 0:
-            trace_fh.close()
-            trace_fh = None
+            summary = run(scenario, policy, horizon, seed)
         row = [seed, horizon, policy_name, summary.total_cost, summary.log_total_cost / math.log(10.0)]
         row.extend(float(j) for j in summary.avg_cost)
         rows.append(row)
@@ -288,6 +285,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulate" and args.sweep_grid and (args.full_physics or args.trace):
         parser.error("simulate: --sweep-grid cannot be combined with --full-physics or --trace")
+    if args.command == "simulate" and args.full_physics and args.trace:
+        parser.error("simulate: --full-physics records no slot trace; drop --trace")
     try:
         return _COMMANDS[args.command](args)
     except ScenarioError as exc:

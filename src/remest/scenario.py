@@ -26,8 +26,13 @@ from importlib import resources
 import numpy as np
 import yaml
 
-from .channel import SemiMarkovChannelModel
-from .errors import DimensionMismatchError, ScenarioParseError, ScenarioValidationError
+from .channel import SemiMarkovChannelModel, build_cascaded_chain
+from .errors import (
+    DimensionMismatchError,
+    NonConvergentError,
+    ScenarioParseError,
+    ScenarioValidationError,
+)
 from .sim import POLICIES, Scenario
 
 BUNDLED_EXAMPLE = "three_sensor_two_frequency"
@@ -129,22 +134,24 @@ _FIELD_PATHS = {
 }
 
 
-def _build(model, path: str, **fields):
-    """``model(**fields)``, re-raising a model error at the YAML path of its field.
+def _build(make, path: str, **fields):
+    """``make(**fields)``, re-raising a model error at the YAML path of its field.
 
-    The model checks every value; an error that names no field is reported
-    at ``path``, the path of the model itself.
+    The model checks every value; an error that names no field, such as a
+    diverging Kalman iteration, is reported at ``path``, the path of the model
+    itself.
     """
     try:
-        return model(**fields)
-    except (ValueError, DimensionMismatchError) as exc:
+        return make(**fields)
+    except (ValueError, DimensionMismatchError, NonConvergentError) as exc:
         name, bracket, index = getattr(exc, "field", "").partition("[")
         where = _FIELD_PATHS[name].format(path) + bracket + index if name else path
         raise ScenarioValidationError(str(exc), where) from exc
 
 
 def _parse_processes(items, path: str):
-    from .process import ProcessModel
+    """Each process's model and cost function, both built under its own path."""
+    from .process import CostFunction, ProcessModel
 
     if not isinstance(items, list) or not items:
         raise ScenarioValidationError("expected a non-empty list of processes", path)
@@ -155,7 +162,8 @@ def _parse_processes(items, path: str):
             raise ScenarioValidationError("expected a mapping with A, C, W, Z", p)
         _reject_unknown(entry, {"A", "C", "W", "Z"}, p)
         mats = {k: _matrix(_require(entry, k, p), f"{p}.{k}") for k in ("A", "C", "W", "Z")}
-        models.append(_build(ProcessModel, p, index=i, **mats))
+        model = _build(ProcessModel, p, index=i, **mats)
+        models.append((model, _build(CostFunction, p, model=model)))
     return models
 
 
@@ -288,13 +296,13 @@ def parse_scenario_dict(data: dict, sha256: str = "") -> LoadedScenario:
     )
     name = data.get("name", "unnamed")
     notes = data.get("notes", "")
-    processes = _parse_processes(_require(data, "processes", "scenario"), "processes")
+    processes, costs = zip(*_parse_processes(_require(data, "processes", "scenario"), "processes"))
     channel = _parse_channel_and_drops(
         _require(data, "channel", "scenario"), _require(data, "drops", "scenario"), "channel"
     )
     (drops_kind,) = data["drops"]
     try:
-        scenario = Scenario.build(processes, channel)
+        scenario = Scenario(processes, costs, channel, build_cascaded_chain(channel))
     except Exception as exc:
         raise ScenarioValidationError(str(exc), "scenario") from exc
     sweep = (

@@ -29,8 +29,11 @@ The cycle analytics decompose time into estimation cycles (between
 consecutive successful deliveries of one sensor) under the greedy selection.
 Writing F = V(v*) T for a failed slot and S = (I - V(v*)) T for a successful
 one, the probability that a cycle starting in channel state i lasts j slots
-and leaves the next cycle in state k is [F^(j-1) S]_{i,k}; summing the series
-over j gives the transition matrix of the pre-cycle channel states.
+and leaves the next cycle in state k is [F^(j-1) S]_{i,k}.  Summed over j
+this is G = (I - F)^-1 S, the transition matrix of the pre-cycle channel
+states, computed exactly by one linear solve; G 1 is the probability that a
+cycle ever closes, so the mass of cycles longer than j from state i is
+[F^j G 1]_i.
 """
 
 from __future__ import annotations
@@ -224,31 +227,29 @@ class CycleAnalysis:
 
     ``pre_cycle_states`` are the cascaded states that can open a cycle:
     states with some chance of success that receive positive probability as
-    the destination of a successful slot.  ``g_full`` is the truncated series
-    over all states, ``g_prime`` its pre-cycle block and ``beta`` the
-    stationary distribution of the (row-normalized) pre-cycle chain.
+    the destination of a successful slot.  ``g_full`` is the exact
+    ``G = (I - F)^-1 S`` over all states, ``g_prime`` its pre-cycle block and
+    ``beta`` the stationary distribution of the (row-normalized) pre-cycle
+    chain.
     """
 
     pre_cycle_states: tuple[int, ...]
     g_full: np.ndarray
     g_prime: np.ndarray
     beta: np.ndarray
-    truncation_terms: int
-    tail_mass: float
     fail_step: np.ndarray
     success_step: np.ndarray
     fail_radius: float
     selection: np.ndarray
 
 
-def cycle_chain(
-    chain: CascadedChain, tol_tail: float = 1e-12, max_terms: int = 10**6
-) -> CycleAnalysis:
-    """Build the pre-cycle-state chain by summing the cycle series.
+def cycle_chain(chain: CascadedChain, tol_tail: float = 1e-12) -> CycleAnalysis:
+    """Build the pre-cycle-state chain ``G = (I - F)^-1 S`` by one linear solve.
 
-    Truncates at the first power of the failure step whose infinity norm is
-    at most ``tol_tail``; only valid in the stable regime, otherwise raises
-    :class:`DivergentSeriesError`.
+    Only valid in the stable regime: a failure step of spectral radius >= 1
+    raises :class:`DivergentSeriesError`.  A solve residual
+    ``max |(I - F) G - S|`` above ``tol_tail`` raises
+    :class:`NonConvergentError`.
     """
     v_star = greedy_selection(chain)
     v_mat = drop_matrix(chain, v_star)
@@ -260,19 +261,11 @@ def cycle_chain(
             f"failure-step spectral radius {rho_fail} >= 1; cycle statistics undefined"
         )
 
-    g = np.zeros_like(fail)
-    xi = np.eye(chain.num_states)
-    terms = 0
-    while True:
-        g += xi @ success
-        terms += 1
-        xi = xi @ fail
-        if float(np.max(np.abs(xi).sum(axis=1))) <= tol_tail:
-            break
-        if terms >= max_terms:
-            raise NonConvergentError(
-                f"cycle series did not reach tail {tol_tail} within {max_terms} terms"
-            )
+    resolvent = np.eye(chain.num_states) - fail
+    g = np.linalg.solve(resolvent, success)
+    residual = float(np.max(np.abs(resolvent @ g - success)))
+    if not residual <= tol_tail:  # a NaN residual fails too
+        raise NonConvergentError(f"cycle solve residual {residual:.3e} exceeds {tol_tail}")
 
     min_drop = chain.drops.min(axis=1)
     inbound_success = success.sum(axis=0)
@@ -287,15 +280,12 @@ def cycle_chain(
     g_prime = g[np.ix_(pre, pre)]
     row_sums = g_prime.sum(axis=1)
     beta = stationary_distribution(g_prime / row_sums[:, None])
-    tail_mass = float(max(0.0, np.max(1.0 - g.sum(axis=1)[list(pre)])))
 
     return CycleAnalysis(
         pre_cycle_states=pre,
         g_full=g,
         g_prime=g_prime,
         beta=beta,
-        truncation_terms=terms,
-        tail_mass=tail_mass,
         fail_step=fail,
         success_step=success,
         fail_radius=rho_fail,
@@ -321,24 +311,21 @@ def cycle_length_pmf(analysis: CycleAnalysis, state: int, j_max: int) -> CyclePm
     """Cycle-length pmf for cycles opening in the given cascaded state.
 
     ``P(T = j) = sum_k [F^(j-1) S]_{state, k}`` evaluated for j up to
-    ``j_max``.  The tail ``P(T > j_max)`` is ``[F^j_max (I - F)^-1 S 1]_state``,
-    one solve; ``1 - sum(probs)`` would leave only rounding noise once the
-    series has converged.
+    ``j_max``.  The tail ``P(T > j_max)`` is ``[F^j_max G 1]_state``, read off
+    the cycle chain's ``G``; ``1 - sum(probs)`` would leave only rounding noise
+    once the series has converged.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     n = analysis.fail_step.shape[0]
     if not 0 <= state < n:
         raise ValueError(f"state {state} out of range")
-    success_mass = analysis.success_step.sum(axis=1)
-    row = np.zeros(n)
-    row[state] = 1.0
-    probs = np.empty(j_max)
+    rows = np.zeros((j_max + 1, n))  # rows[j] = e_state F^j
+    rows[0, state] = 1.0
     for j in range(j_max):
-        probs[j] = float(row @ success_mass)
-        row = row @ analysis.fail_step
-    beyond = np.linalg.solve(np.eye(n) - analysis.fail_step, success_mass)
-    tail = max(0.0, float(row @ beyond))
+        np.matmul(rows[j], analysis.fail_step, out=rows[j + 1])
+    probs = rows[:j_max] @ analysis.success_step.sum(axis=1)
+    tail = max(0.0, float(rows[j_max] @ analysis.g_full.sum(axis=1)))
     return CyclePmf(state=state, probs=probs, tail=tail, fail_radius=analysis.fail_radius)
 
 
@@ -367,11 +354,9 @@ def expected_cycle_cost_lower_bound(
     if rho**2 * pmf.fail_radius >= 1.0:
         return ExpectedCycleCost(value=math.inf, divergent=True)
     log_rho2 = 2.0 * math.log(rho) if rho > 0 else -math.inf
-    log_sum = -math.inf
-    for j, p in enumerate(pmf.probs, start=1):
-        if p > 0.0:
-            log_sum = np.logaddexp(log_sum, j * log_rho2 + math.log(p))
-    partial = eta * math.exp(log_sum) if log_sum > -math.inf else 0.0
+    j = np.flatnonzero(pmf.probs > 0.0)
+    log_sum = float(np.logaddexp.reduce((j + 1) * log_rho2 + np.log(pmf.probs[j])))
+    partial = eta * math.exp(log_sum)
     tail_term = 0.0
     if rho >= 1.0 and pmf.tail > 0.0:
         tail_term = eta * math.exp((len(pmf.probs) + 1) * log_rho2) * pmf.tail

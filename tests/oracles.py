@@ -13,7 +13,10 @@ calls the production current-CSI factor cell by cell;
 iteration, searches every selection tuple of the production failure
 matrices; ``per_cell_simulated_sweep``, the reference for the simulated
 sweep's shared walk, runs the production ``run`` once per cell and seed on
-each cell's overridden chain; ``exact_expected_cycle_cost`` sums the
+each cell's overridden chain; ``series_cycle_chain`` and
+``series_cycle_tail``, the references for the cycle chain's one solve, sum
+the cycle series term by term on the production failure and success steps;
+``exact_expected_cycle_cost`` sums the
 cycle-cost series in closed form on the production cycle chain's failure
 and success steps; ``reference_run``, the
 reference for the chunked slot engine, is the per-slot simulation loop with
@@ -256,6 +259,34 @@ def per_cell_simulated_sweep(loaded, grid, horizon: int, seeds, policy_name: str
                     log10_final = logs[2 * horizon] / math.log(10.0)
             cells.append(SimulatedCell(float(v1), float(v2), tuple(ratios), log10_final))
     return cells
+
+
+def series_cycle_chain(fail, success, tol: float = 1e-20) -> np.ndarray:
+    """``G = sum_j F^(j-1) S`` summed term by term, with no tail term.
+
+    Stops once the infinity norm of ``F^j`` is at most ``tol``, far below
+    what the remaining terms could add in double precision.
+    """
+    g = np.zeros_like(success)
+    xi = np.eye(len(fail))
+    while float(np.max(np.abs(xi).sum(axis=1))) > tol:
+        g += xi @ success
+        xi = xi @ fail
+    return g
+
+
+def series_cycle_tail(fail, success, j_max: int, tol: float = 1e-20) -> np.ndarray:
+    """``P(T > j_max)`` for every opening state: ``F^j_max sum_k F^k S 1``.
+
+    The sum runs term by term until a term has shrunk to ``tol`` times the
+    first.
+    """
+    term = success.sum(axis=1)
+    total, stop = np.zeros_like(term), tol * float(term.max())
+    while float(term.max()) > stop:
+        total += term
+        term = fail @ term
+    return np.linalg.matrix_power(fail, j_max) @ total
 
 
 def exact_expected_cycle_cost(analysis, rho: float, eta: float, state: int) -> float:

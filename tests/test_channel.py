@@ -404,6 +404,30 @@ class TestStationaryDistribution:
             np.testing.assert_allclose(pi, want, atol=1e-8)
             assert pi.min() > 0
 
+    @pytest.mark.parametrize("shape", ["dense", "sparse", 1e-2, 1e-3])
+    def test_lu_solve_matches_matrix_power_oracle(self, rng, shape):
+        """To 1e-13 on irreducible chains, nearly decomposable ones included.
+
+        A number ``shape`` joins two dense blocks by that fraction of their
+        weights.  The stationary vector's condition number grows like its
+        inverse, so couplings far below 1e-3 cost digits in any
+        double-precision solve: at 1e-6 least squares and LU are both about
+        1e-11 off.
+        """
+        for n in (2, 3, 7, 20, 60):
+            p = rng.uniform(0.0, 1.0, size=(n, n))
+            if shape == "sparse":  # a random cycle, one self-loop, about 20% fill
+                p *= rng.random((n, n)) < 0.2
+                order = rng.permutation(n)
+                p[order, np.roll(order, -1)] += 1.0
+                p[order[0], order[0]] += 1.0
+            elif shape != "dense":
+                block = np.arange(n) < n // 2
+                p = np.where(block[:, None] == block[None, :], p, shape * p)
+            p /= p.sum(axis=1, keepdims=True)
+            want = power_method_stationary(p, power=2**40)
+            np.testing.assert_allclose(stationary_distribution(p), want, rtol=0, atol=1e-13)
+
     def test_fixed_point_property(self, rng):
         p = rng.uniform(0.05, 1.0, size=(6, 6))
         p /= p.sum(axis=1, keepdims=True)

@@ -197,6 +197,7 @@ MODEL_FAULTS = {
     "holding-nan": (("channel", "holding_pmf"), [0.5, math.nan], "channel.holding_pmf[0]"),
     "per-level-nan": (("drops", "per_level"), [[math.nan, 0.8], [0.2, 0.9]], "drops.per_level[0]"),
     "W-inf": (("processes", 0, "W"), [[math.inf]], "processes[0].W"),
+    "kalman-diverges": (("processes", 1, "C"), [[0.0]], "processes[1]"),
 }
 
 
@@ -473,6 +474,19 @@ class TestCli:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    def test_simulate_full_physics_rejects_trace(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("scenario loaded for --full-physics with --trace")
+
+        monkeypatch.setattr("remest.cli.load_scenario", never)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--full-physics", "--trace", "t.csv", "--horizon", "50"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--full-physics records no slot trace" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_simulate_sweep_grid_requires_out_before_simulating(self, monkeypatch, capsys):
         def never(*args, **kwargs):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from remest import (
     DivergentSeriesError,
+    NonConvergentError,
     SemiMarkovChannelModel,
     build_cascaded_chain,
     current_csi_factor,
@@ -34,6 +36,9 @@ from oracles import (
     exhaustive_delayed_factor,
     gelfand_spectral_radius,
     harvest_cycles,
+    power_method_stationary,
+    series_cycle_chain,
+    series_cycle_tail,
     tv_distance,
 )
 from remest.channel import sample_paths
@@ -250,7 +255,82 @@ class TestDelayedCsiFactor:
         assert report.product == pytest.approx(report.rho_max**2 * report.factor)
 
 
+def _rows_at_tolerance(rng):
+    """Transition and holding rows scaled off a unit sum by 9e-7, inside the 1e-6 tolerance."""
+    model = random_semi_markov(rng, levels=(2, 2), max_holding=6, max_drop=0.9)
+    scale = 1.0 + rng.choice([-9e-7, 9e-7], size=(2, 4, 1))
+    return replace(
+        model,
+        transition=np.asarray(model.transition) * scale[0],
+        holding_pmf=np.asarray(model.holding_pmf) * scale[1],
+    )
+
+
+def _unreachable_holding(rng):
+    """Holding pmfs with zero tails, so some cascaded states are never entered."""
+    model = random_semi_markov(rng, levels=(2, 2), max_holding=6, max_drop=0.9)
+    pmf = np.array(model.holding_pmf)
+    pmf[0, 3:] = 0.0
+    pmf[2, 5] = 0.0
+    return replace(model, holding_pmf=pmf / pmf.sum(axis=1, keepdims=True))
+
+
+def _slow_failure(rng):
+    """Drops near 0.999 everywhere: rho(F) close to 0.999, cycles of ~1000 slots."""
+    model = random_semi_markov(rng, levels=(2, 2), max_holding=4)
+    drops = tuple(tuple(rng.uniform(0.9989, 0.9991, size=2)) for _ in range(2))
+    return replace(model, level_drops=drops)
+
+
+CYCLE_MODELS = {
+    "random-6": lambda rng: random_semi_markov(rng, levels=(2, 1), max_holding=3, max_drop=0.9),
+    "random-48": lambda rng: random_semi_markov(rng, levels=(2, 2), max_holding=12, max_drop=0.9),
+    "random-48-six-levels": lambda rng: random_semi_markov(
+        rng, levels=(3, 2), max_holding=8, max_drop=0.9
+    ),
+    "rows-at-tolerance": _rows_at_tolerance,
+    "unreachable-states": _unreachable_holding,
+    "slow-failure": _slow_failure,
+}
+
+
 class TestCycleChain:
+    @pytest.mark.parametrize("make", CYCLE_MODELS.values(), ids=CYCLE_MODELS)
+    def test_solve_matches_series_oracle(self, rng, make):
+        """G, G', beta and the pmf tail agree with the term-by-term cycle series.
+
+        G is also allowed 1e-15 absolute: the series keeps the relative
+        accuracy of entries as small as 1e-24 (it only adds nonnegative
+        terms), an LU solve does not.
+        """
+        for _ in range(3):
+            analysis = cycle_chain(build_cascaded_chain(make(rng)))
+            fail, success = analysis.fail_step, analysis.success_step
+            g = series_cycle_chain(fail, success)
+            np.testing.assert_allclose(analysis.g_full, g, rtol=1e-12, atol=1e-15)
+            pre = list(analysis.pre_cycle_states)
+            g_prime = g[np.ix_(pre, pre)]
+            np.testing.assert_allclose(analysis.g_prime, g_prime, rtol=1e-12, atol=1e-15)
+            beta = power_method_stationary(g_prime / g_prime.sum(axis=1)[:, None], power=2**40)
+            np.testing.assert_allclose(analysis.beta, beta, rtol=1e-12)
+            tails = [cycle_length_pmf(analysis, state, 40).tail for state in pre]
+            np.testing.assert_allclose(tails, series_cycle_tail(fail, success, 40)[pre], rtol=1e-12)
+
+    def test_oracle_cases_cover_their_edges(self, rng):
+        offsum = build_cascaded_chain(_rows_at_tolerance(rng)).transition.sum(axis=1)
+        assert np.max(np.abs(offsum - 1.0)) > 5e-7
+        assert build_cascaded_chain(_unreachable_holding(rng)).unreachable
+        assert cycle_chain(build_cascaded_chain(_slow_failure(rng))).fail_radius > 0.9985
+        assert build_cascaded_chain(CYCLE_MODELS["random-48"](rng)).num_states == 48
+
+    def test_solve_residual_above_tol_tail_raises(self, monkeypatch):
+        chain = build_cascaded_chain(example_channel())
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-9))
+        with pytest.raises(NonConvergentError, match="residual"):
+            cycle_chain(chain)
+        assert cycle_chain(chain, tol_tail=1e-6).fail_radius < 1.0
+
     def test_single_state_perfect_channel(self):
         chain = build_cascaded_chain(bernoulli_channel(0.0))
         analysis = cycle_chain(chain)
@@ -278,7 +358,7 @@ class TestCycleChain:
         analysis = cycle_chain(chain)
         assert analysis.pre_cycle_states == tuple(range(8))
         np.testing.assert_allclose(analysis.g_prime.sum(axis=1), 1.0, atol=1e-9)
-        assert analysis.tail_mass <= 1e-12 * chain.num_states
+        np.testing.assert_allclose(analysis.g_full.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         # beta is stationary for the pre-cycle chain
         np.testing.assert_allclose(
             analysis.beta @ analysis.g_prime, analysis.beta, atol=1e-9
