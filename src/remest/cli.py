@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ScenarioError
-from .scenario import bundled_scenario_path, load_scenario
+from .scenario import load_bundled_scenario, load_scenario
 from .sim import POLICIES, full_physics_run, make_policy, run
 from .stability import evaluate_current_csi, evaluate_delayed_csi
 from .sweep import (
@@ -124,11 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    path = args.scenario
-    if path is None:
-        with_as = bundled_scenario_path()
-        path = str(with_as)
-    return load_scenario(path)
+    return load_bundled_scenario() if args.scenario is None else load_scenario(args.scenario)
 
 
 def _print_report(report) -> None:
@@ -191,16 +187,12 @@ def _cmd_simulate(args) -> int:
     loaded = _load(args)
     scenario = loaded.scenario
     sim_spec = loaded.sim
-    horizon = args.horizon
-    if horizon is None:
-        horizon = sim_spec.horizon if sim_spec else 10_000
+    horizon = sim_spec.horizon if args.horizon is None else args.horizon
     if args.seed is not None:
         seeds = (args.seed,)
-    elif args.seeds is not None:
-        seeds = args.seeds
     else:
-        seeds = sim_spec.seeds if sim_spec else (0,)
-    policy_name = args.policy or (sim_spec.policy if sim_spec else "persistent-serial")
+        seeds = sim_spec.seeds if args.seeds is None else args.seeds
+    policy_name = args.policy or sim_spec.policy
 
     if args.sweep_grid is not None:
         if not args.out:

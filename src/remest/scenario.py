@@ -74,7 +74,7 @@ class LoadedScenario:
     name: str
     notes: str
     sweep: SweepSpec | None
-    sim: SimSpec | None
+    sim: SimSpec
     sha256: str
 
 
@@ -310,7 +310,7 @@ def parse_scenario_dict(data: dict, sha256: str = "") -> LoadedScenario:
         if "sweep" in data
         else None
     )
-    sim = _parse_sim(data["sim"], "sim") if "sim" in data else None
+    sim = _parse_sim(data.get("sim", {}), "sim")
     if not sha256:
         sha256 = hashlib.sha256(
             json.dumps(data, sort_keys=True, default=str).encode()

@@ -80,15 +80,12 @@ class Scenario:
         return self.channel.num_frequencies
 
 
-def frequency_ranking(chain: CascadedChain) -> np.ndarray:
-    """Frequencies of each cascaded state ordered by ascending drop probability.
+def frequency_ranking(drops: np.ndarray) -> np.ndarray:
+    """Frequencies of each state ordered by ascending drop probability.
 
-    Row s lists 1-based frequency indices; ties keep the lower index first.
+    ``drops`` is a drop table (S x M) or a stack of them; row s of the result
+    lists 1-based frequency indices, ties keeping the lower index first.
     """
-    return _rank_frequencies(chain.drops)
-
-
-def _rank_frequencies(drops: np.ndarray) -> np.ndarray:
     return np.argsort(drops, axis=-1, kind="stable") + 1
 
 
@@ -98,14 +95,14 @@ class _RankedPolicy:
     ``plan`` takes a chunk's AoI at its start, channel path and success
     draws, and returns the chunk's action matrix, all with a leading cell
     axis: cells share the path and differ in their drop tables, hence in
-    their rankings, and in the per-cell pointer.  ``select``/``observe`` are
-    the one-cell, one-slot case and keep the policy's state consistent.
+    their rankings, and in the per-cell pointer.  ``plan`` is the one
+    protocol the engine reads; ``select`` is its one-cell, one-slot call.
     """
 
     def __init__(self, num_sensors: int, chain: CascadedChain):
         self.num_sensors = num_sensors
         self._k = min(chain.num_frequencies, num_sensors)
-        self._ranking = frequency_ranking(chain)[None]
+        self._ranking = frequency_ranking(chain.drops)[None]
         self.reset()
 
     def reset(self) -> None:
@@ -117,20 +114,17 @@ class _RankedPolicy:
         Copies share whatever the policy caches, such as cost tables.
         """
         policy = copy.copy(self)
-        policy._ranking = _rank_frequencies(drops)
+        policy._ranking = frequency_ranking(drops)
         policy.reset()
         return policy
 
     def select(self, aoi: np.ndarray, channel_state: int) -> np.ndarray:
         """One slot's actions: ``plan`` for a slot that delivers nothing.
 
-        Deliveries reach the policy afterwards through :meth:`observe`.
+        The policy's state advances as that slot would advance it.
         """
         nothing = np.zeros((1, 1, self._ranking.shape[2]), dtype=bool)
         return self.plan(np.asarray(aoi)[None], np.array([channel_state]), nothing)[0, 0]
-
-    def observe(self, outcomes: np.ndarray) -> None:
-        pass
 
     def _assign(self, path: np.ndarray, sensors: np.ndarray) -> np.ndarray:
         """Actions giving ``sensors[c, t, r]`` the rank-r frequency of cell c in slot t."""
@@ -151,10 +145,6 @@ class PersistentSerialPolicy(_RankedPolicy):
     """
 
     name = "persistent-serial"
-
-    def observe(self, outcomes: np.ndarray) -> None:
-        if outcomes[self._pointer[0]]:
-            self._pointer = (self._pointer + 1) % self.num_sensors
 
     def plan(self, aoi: np.ndarray, path: np.ndarray, success: np.ndarray) -> np.ndarray:
         """The served sensor is the count of successes so far, mod N."""
@@ -226,13 +216,11 @@ POLICIES = {
 
 
 def make_policy(name: str, scenario: Scenario):
-    if name == PersistentSerialPolicy.name:
-        return PersistentSerialPolicy(scenario.num_sensors, scenario.chain)
+    if name not in POLICIES:
+        raise ValueError(f"unknown policy {name!r}; choose from {sorted(POLICIES)}")
     if name == GreedyTopKPolicy.name:
         return GreedyTopKPolicy(scenario.cost_functions, scenario.chain)
-    if name == RoundRobinPolicy.name:
-        return RoundRobinPolicy(scenario.num_sensors, scenario.chain)
-    raise ValueError(f"unknown policy {name!r}; choose from {sorted(POLICIES)}")
+    return POLICIES[name](scenario.num_sensors, scenario.chain)
 
 
 @dataclass
@@ -275,10 +263,8 @@ def initial_state(
     )
 
 
-def _check_actions(actions, n: int, m: int) -> None:
+def _check_actions(actions, m: int) -> None:
     """Raise :class:`InvalidActionError` for the first fault in one action vector."""
-    if len(actions) != n:
-        raise InvalidActionError(f"action vector must have length {n}")
     used = set()
     for a in map(int, actions):
         if a < 0 or a > m:
@@ -286,21 +272,6 @@ def _check_actions(actions, n: int, m: int) -> None:
         if a != 0 and a in used:
             raise InvalidActionError(f"frequency {a} assigned to more than one sensor")
         used.add(a)
-
-
-def _select_each(policy, aoi: np.ndarray, path: np.ndarray, success: np.ndarray) -> np.ndarray:
-    """Actions of a policy without ``plan``, by ``select``/``observe`` per slot."""
-    n, m = aoi.size, success.shape[1]
-    actions = np.zeros((len(path), n), dtype=int)
-    ages = aoi.copy()
-    for t, channel_state in enumerate(path.tolist()):
-        row = policy.select(ages, channel_state)
-        _check_actions(row, n, m)
-        actions[t] = row
-        hit = (actions[t] > 0) & success[t, np.maximum(actions[t], 1) - 1]
-        policy.observe(hit)
-        ages = np.where(hit, 1, ages + 1)
-    return actions
 
 
 # consecutive slots of a block of cells from slot ``start`` on: the shared
@@ -340,13 +311,15 @@ def _walk(state: SimState, scenario: Scenario, k: int) -> tuple[np.ndarray, np.n
 def _advance(block: _Block, start: int, path: np.ndarray, uniforms: np.ndarray) -> _Chunk:
     """The block's slots from ``start`` on along a walked path; updates its AoI."""
     drops, policy, aoi = block
-    n, m, k = aoi.shape[1], drops.shape[2], len(path)
+    (cells, n), m, k = aoi.shape, drops.shape[2], len(path)
     success = uniforms >= np.take(drops, path, axis=1)
-    plan = getattr(policy, "plan", None)
-    if plan is None:
-        actions = _select_each(policy, aoi[0], path, success[0])[None]
-    else:
-        actions = plan(aoi, path, success)
+    actions = np.asarray(policy.plan(aoi, path, success))
+    if actions.shape != (cells, k, n):
+        raise InvalidActionError(
+            f"action vector must have length {n}; plan gave {actions.shape}, not {(cells, k, n)}"
+        )
+    if not np.issubdtype(actions.dtype, np.integer):
+        raise InvalidActionError(f"actions must be integers, got dtype {actions.dtype}")
     # sensor by sensor and pair by pair: reductions over the short sensor axis are slow
     bad = np.zeros(actions.shape[:2], dtype=bool)
     for i in range(n):
@@ -356,9 +329,9 @@ def _advance(block: _Block, start: int, path: np.ndarray, uniforms: np.ndarray) 
             bad |= (freq == actions[..., j]) & (freq > 0)
     if bad.any():
         cell, slot = np.argwhere(bad)[0]
-        _check_actions(actions[cell, slot], n, m)
+        _check_actions(actions[cell, slot], m)
     # each action's outcome, read from the success row led by a never-succeeding idle column
-    padded = np.zeros((len(aoi), k, m + 1), dtype=bool)
+    padded = np.zeros((cells, k, m + 1), dtype=bool)
     padded[..., 1:] = success
     outcomes = padded.take(np.arange(0, padded.size, m + 1).reshape(-1, k, 1) + actions)
 

@@ -105,6 +105,23 @@ class StabilityReport:
     tol_boundary: float = 1e-9
 
 
+def _report(plant, factor: float, selection, csi_mode: str, tol_boundary: float, horizon=None):
+    """The report of a channel factor against ``plant = (rho_max, dominant process)``."""
+    rho_max, dominant = plant
+    product = rho_max**2 * factor
+    return StabilityReport(
+        rho_max=rho_max,
+        factor=factor,
+        product=product,
+        verdict=verdict_for(product, tol_boundary),
+        selection=selection,
+        csi_mode=csi_mode,
+        dominant_process=dominant,
+        horizon=horizon,
+        tol_boundary=tol_boundary,
+    )
+
+
 def current_csi_factor(chain: CascadedChain) -> tuple[float, np.ndarray]:
     """Spectral factor and greedy selection for the current-CSI test."""
     v_star = greedy_selection(chain)
@@ -116,19 +133,8 @@ def evaluate_current_csi(
     processes, chain: CascadedChain, tol_boundary: float = 1e-9
 ) -> StabilityReport:
     """Necessary-and-sufficient stability test under current CSI."""
-    rho_max, dominant = max_plant_spectral_radius(processes)
-    lam, v_star = current_csi_factor(chain)
-    product = rho_max**2 * lam
-    return StabilityReport(
-        rho_max=rho_max,
-        factor=lam,
-        product=product,
-        verdict=verdict_for(product, tol_boundary),
-        selection=v_star,
-        csi_mode="current",
-        dominant_process=dominant,
-        tol_boundary=tol_boundary,
-    )
+    plant = max_plant_spectral_radius(processes)
+    return _report(plant, *current_csi_factor(chain), "current", tol_boundary)
 
 
 def delayed_failure_matrix(chain: CascadedChain, selection) -> np.ndarray:
@@ -205,20 +211,8 @@ def evaluate_delayed_csi(
     tol_boundary: float = 1e-9,
 ) -> StabilityReport:
     """Stability test under one-step-delayed CSI at a fixed tuple length."""
-    rho_max, dominant = max_plant_spectral_radius(processes)
-    lam_l, selections = delayed_csi_factor(chain, horizon)
-    product = rho_max**2 * lam_l
-    return StabilityReport(
-        rho_max=rho_max,
-        factor=lam_l,
-        product=product,
-        verdict=verdict_for(product, tol_boundary),
-        selection=selections,
-        csi_mode="delayed",
-        dominant_process=dominant,
-        horizon=horizon,
-        tol_boundary=tol_boundary,
-    )
+    plant = max_plant_spectral_radius(processes)
+    return _report(plant, *delayed_csi_factor(chain, horizon), "delayed", tol_boundary, horizon)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .errors import ScenarioValidationError
 from .process import spectral_radius
 from .scenario import AxisSpec, LoadedScenario, SweepSpec
 from .sim import Scenario, _run_cells, make_policy
-from .stability import STABLE, current_csi_factor, delayed_csi_factor
+from .stability import STABLE, _report, current_csi_factor, delayed_csi_factor
 from .stability import max_plant_spectral_radius, verdict_for
 
 _CHUNK_BYTES = 1 << 18  # bytes of stacked failure matrices per batched eigensolve
@@ -197,22 +197,22 @@ def sweep_simulated(
     uniforms, so the channel is walked once per seed and every cell runs on
     that path, in blocks of bounded size; each cell gets exactly the
     :func:`~remest.sim.run` of its own overridden chain.  Also returns the
-    analytic sweep for the same grid, for side-by-side use.
+    analytic sweep for the same grid, for side-by-side use.  Arguments left
+    as None take their values from the scenario's ``sim`` section.
     """
-    sim_spec = loaded.sim
-    if horizon is None:
-        horizon = sim_spec.horizon if sim_spec else 10_000
-    if seeds is None:
-        seeds = sim_spec.seeds if sim_spec else (0,)
-    if policy_name is None:
-        policy_name = sim_spec.policy if sim_spec else "persistent-serial"
+    horizon = loaded.sim.horizon if horizon is None else horizon
+    seeds = loaded.sim.seeds if seeds is None else seeds
+    policy_name = loaded.sim.policy if policy_name is None else policy_name
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if not seeds:
+        raise ValueError("need at least one seed")
     analytic = sweep_stability(loaded, grid=grid)
     scenario = loaded.scenario
     policy = make_policy(policy_name, scenario)
     values = [(float(v1), float(v2)) for v1 in analytic.values1 for v2 in analytic.values2]
     drops = np.array([apply_axes(scenario, loaded.sweep.axes, v).drops for v in values])
     ratios = []
-    log10_final = [math.nan] * len(values)
     for k, seed in enumerate(seeds):
         log_t, log_2t = _run_cells(scenario, policy, drops, horizon, seed)
         # math.exp per cell: numpy's vector exp can differ in the last bit
@@ -274,27 +274,22 @@ def compare_csi(
     loaded: LoadedScenario, l_max: int, tol_boundary: float = 1e-9
 ) -> list[CsiComparisonRow]:
     """Tabulate the current-CSI factor against delayed-CSI factors for L = 1..l_max."""
-    scenario = loaded.scenario
-    rho_max, _ = max_plant_spectral_radius(scenario.processes)
-
-    def make_row(mode: str, horizon: int | None, factor: float) -> CsiComparisonRow:
-        threshold = math.inf if factor == 0 else 1.0 / math.sqrt(factor)
-        product = rho_max**2 * factor
-        return CsiComparisonRow(
-            csi_mode=mode,
-            horizon=horizon,
-            factor=factor,
-            rho_max_threshold=threshold,
-            product=product,
-            verdict=verdict_for(product, tol_boundary),
-        )
-
-    lam, _ = current_csi_factor(scenario.chain)
-    out = [make_row("current", None, lam)]
+    chain = loaded.scenario.chain
+    plant = max_plant_spectral_radius(loaded.scenario.processes)
+    reports = [_report(plant, *current_csi_factor(chain), "current", tol_boundary)]
     for el in range(1, l_max + 1):
-        lam_l, _ = delayed_csi_factor(scenario.chain, el)
-        out.append(make_row("delayed", el, lam_l))
-    return out
+        reports.append(_report(plant, *delayed_csi_factor(chain, el), "delayed", tol_boundary, el))
+    return [
+        CsiComparisonRow(
+            csi_mode=r.csi_mode,
+            horizon=r.horizon,
+            factor=r.factor,
+            rho_max_threshold=math.inf if r.factor == 0 else 1.0 / math.sqrt(r.factor),
+            product=r.product,
+            verdict=r.verdict,
+        )
+        for r in reports
+    ]
 
 
 def write_csi_csv(rows: list[CsiComparisonRow], path, scenario_sha256: str) -> None:

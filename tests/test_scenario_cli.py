@@ -329,6 +329,14 @@ class TestSweep:
             ratios = np.array(cell.growth_ratios)
             assert np.all(ratios > 0.9) and np.all(ratios < 1.1)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [({"horizon": 0}, "horizon"), ({"horizon": -3}, "horizon"), ({"seeds": ()}, "seed")],
+        ids=["horizon-zero", "horizon-negative", "no-seeds"],
+    )
+    def test_simulated_sweep_rejects_empty_runs(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            sweep_simulated(load_bundled_scenario(), grid=(2, 2), **kwargs)
 
     @pytest.mark.parametrize("policy_name", ["persistent-serial", "round-robin", "greedy-topk"])
     @pytest.mark.parametrize("per_cascade", [False, True], ids=["bundled", "per-cascade"])
@@ -480,6 +488,7 @@ class TestCli:
             raise AssertionError("scenario loaded for --full-physics with --trace")
 
         monkeypatch.setattr("remest.cli.load_scenario", never)
+        monkeypatch.setattr("remest.cli.load_bundled_scenario", never)
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--full-physics", "--trace", "t.csv", "--horizon", "50"])

@@ -34,7 +34,7 @@ from oracles import greedy_frequency_for, reference_policy, reference_run, tv_di
 
 
 class FixedPolicy:
-    """Test stub that emits a constant action vector."""
+    """Test stub whose ``plan`` repeats one action row in every cell and slot."""
 
     name = "fixed"
 
@@ -44,28 +44,8 @@ class FixedPolicy:
     def reset(self):
         pass
 
-    def select(self, aoi, channel_state):
-        return self.actions
-
-    def observe(self, outcomes):
-        pass
-
-
-class SlotBySlot:
-    """Hides a policy's ``plan`` so the engine drives it through ``select``/``observe``."""
-
-    def __init__(self, policy):
-        self.policy = policy
-        self.name = policy.name
-
-    def reset(self):
-        self.policy.reset()
-
-    def select(self, aoi, channel_state):
-        return self.policy.select(aoi, channel_state)
-
-    def observe(self, outcomes):
-        self.policy.observe(outcomes)
+    def plan(self, aoi, path, success):
+        return np.broadcast_to(self.actions, (len(aoi), len(path), self.actions.size))
 
 
 def per_cascade_scenario() -> Scenario:
@@ -113,7 +93,7 @@ class TestFrequencyRanking:
     def test_matches_sort_oracle(self, rng):
         ch = random_semi_markov(rng, levels=(2, 2), max_holding=2)
         chain = Scenario.build(example_processes(), ch).chain
-        ranking = frequency_ranking(chain)
+        ranking = frequency_ranking(chain.drops)
         for state in range(chain.num_states):
             want = sorted(
                 range(chain.num_frequencies), key=lambda m: (chain.drops[state, m], m)
@@ -382,16 +362,11 @@ class TestFullPhysics:
             assert b.mean_sq[0, age] == pytest.approx(b.predicted[0, age], rel=0.05)
 
 
-def assert_matches_reference(scenario, policy_name, horizon, seed, wrap=False, **kwargs):
-    """Engine run and per-slot reference loop: same cycles, costs and records.
-
-    With ``wrap`` the engine drives the package's policy slot by slot through
-    ``select``/``observe`` instead of its chunk ``plan``.
-    """
+def assert_matches_reference(scenario, policy_name, horizon, seed, **kwargs):
+    """Engine run and per-slot reference loop: same cycles, costs and records."""
     policy = make_policy(policy_name, scenario)
     got_records, want_records = [], []
-    got = run(scenario, SlotBySlot(policy) if wrap else policy, horizon, seed,
-              record_hook=got_records.append, **kwargs)
+    got = run(scenario, policy, horizon, seed, record_hook=got_records.append, **kwargs)
     want = reference_run(scenario, reference_policy(policy_name, scenario), horizon, seed,
                          record_hook=want_records.append, **kwargs)
     assert len(got.cycle_lengths) == len(want.cycle_lengths)
@@ -423,12 +398,6 @@ class TestEngineMatchesReference:
     @pytest.mark.parametrize("policy_name", sorted(POLICIES))
     def test_per_cascade(self, policy_name):
         assert_matches_reference(per_cascade_scenario(), policy_name, 2000, 3001)
-
-    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-    def test_select_observe_adapter(self, policy_name):
-        assert_matches_reference(
-            example_scenario(), policy_name, 600, 5, wrap=True, checkpoints=(600,)
-        )
 
     def test_saturated_single_sensor(self):
         s = single_sensor_scenario(1.5, 1.0)
@@ -469,6 +438,29 @@ class TestInvalidActionsThroughRun:
         s = example_scenario()
         with pytest.raises(InvalidActionError, match="frequency 2 assigned to more than one"):
             run(s, Doubled(s.num_sensors, s.chain), horizon=50, seed=1)
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [lambda a: a[..., :2], lambda a: a[:, 1:], lambda a: np.concatenate([a, a])],
+        ids=["short-sensor-axis", "one-slot-short", "extra-cell"],
+    )
+    def test_misshapen_plan(self, reshape):
+        class Misshapen(PersistentSerialPolicy):
+            def plan(self, aoi, path, success):
+                return reshape(super().plan(aoi, path, success))
+
+        s = example_scenario()
+        with pytest.raises(InvalidActionError, match="action vector must have length 3"):
+            run(s, Misshapen(s.num_sensors, s.chain), horizon=50, seed=1)
+
+    def test_non_integer_plan(self):
+        class Fractional(PersistentSerialPolicy):
+            def plan(self, aoi, path, success):
+                return super().plan(aoi, path, success) + 0.0
+
+        s = example_scenario()
+        with pytest.raises(InvalidActionError, match="integers"):
+            run(s, Fractional(s.num_sensors, s.chain), horizon=50, seed=1)
 
 
 class TestFullPhysicsEngine:
