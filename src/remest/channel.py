@@ -388,18 +388,27 @@ def drop_matrix(chain: CascadedChain, selection: np.ndarray) -> np.ndarray:
     return np.diag(chain.drops[np.arange(chain.num_states), sel - 1])
 
 
+def _walk_path(chain: CascadedChain, start: int, uniforms: np.ndarray) -> list[int]:
+    """``start`` and the state after each transition, one uniform per transition."""
+    cum = chain._cum_tuples
+    state = start
+    path = [start]
+    visit = path.append
+    for u in uniforms.tolist():
+        state = bisect_right(cum[state], u)
+        visit(state)
+    return path
+
+
 def sample_path(
     chain: CascadedChain, start: int, num_steps: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """State trajectory of ``num_steps`` transitions, including the start."""
-    path = np.empty(num_steps + 1, dtype=int)
-    path[0] = start
-    state = start
-    cum = chain._cum_tuples
-    for t in range(1, num_steps + 1):
-        state = bisect_right(cum[state], rng.random())
-        path[t] = state
-    return path
+    """State trajectory of ``num_steps`` transitions, including the start.
+
+    The uniforms are drawn as one block, which gives the same values as one
+    draw per transition.
+    """
+    return np.array(_walk_path(chain, start, rng.random(num_steps)))
 
 
 def sample_paths(

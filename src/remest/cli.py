@@ -3,7 +3,8 @@
 Subcommands: ``validate`` (scenario lint), ``check`` (stability verdict),
 ``sweep`` (stability-region grid), ``simulate`` (Monte Carlo runs), and
 ``compare-csi`` (current vs delayed channel-state information).  Exit code 0
-means the computation ran (whatever the verdict), 2 a usage or scenario problem.
+means the computation ran (whatever the verdict), 2 a usage or scenario problem,
+including a scenario, output or trace file that cannot be opened.
 """
 
 from __future__ import annotations
@@ -19,14 +20,8 @@ from .errors import ScenarioError
 from .scenario import load_bundled_scenario, load_scenario
 from .sim import POLICIES, full_physics_run, make_policy, run
 from .stability import evaluate_current_csi, evaluate_delayed_csi
-from .sweep import (
-    compare_csi,
-    sweep_simulated,
-    sweep_stability,
-    write_csi_csv,
-    write_simulated_csv,
-    write_sweep_csv,
-)
+from .sweep import _csi_table, _csv_lines, _write_csv, compare_csi, sweep_simulated
+from .sweep import sweep_stability, write_simulated_csv, write_sweep_csv
 
 EXIT_OK = 0
 EXIT_SCENARIO = 2
@@ -167,6 +162,15 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _emit_table(out, header: list[str], columns, scenario_sha256: str, summary: str) -> None:
+    """Write the table to the CSV file ``out``, or print it without the comment lines."""
+    if out:
+        _write_csv(out, header, columns, scenario_sha256)
+        print(f"wrote {out}: {summary}")
+    else:
+        sys.stdout.writelines(_csv_lines(header, columns))
+
+
 def _trace_writer(path):
     fh = open(path, "w", newline="\n")
     fh.write("slot,channel_state,actions,outcomes,aoi,cost\n")
@@ -234,32 +238,14 @@ def _cmd_simulate(args) -> int:
     header = ["seed", "horizon", "policy", "J_total", "log10_J_total"] + [
         f"J_{n}" for n in range(scenario.num_sensors)
     ]
-    if args.out:
-        from .sweep import _write_csv
-
-        _write_csv(args.out, header, rows, loaded.sha256)
-        print(f"wrote {args.out}: {len(rows)} runs")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+    _emit_table(args.out, header, list(zip(*rows)), loaded.sha256, f"{len(rows)} runs")
     return EXIT_OK
 
 
 def _cmd_compare_csi(args) -> int:
     loaded = _load(args)
     rows = compare_csi(loaded, l_max=args.L)
-    if args.out:
-        write_csi_csv(rows, args.out, loaded.sha256)
-        print(f"wrote {args.out}: {len(rows)} rows")
-    else:
-        print("csi_mode,L,factor,rho_max_threshold,product,verdict")
-        for r in rows:
-            el = "" if r.horizon is None else r.horizon
-            print(
-                f"{r.csi_mode},{el},{r.factor!r},{r.rho_max_threshold!r},"
-                f"{r.product!r},{r.verdict}"
-            )
+    _emit_table(args.out, *_csi_table(rows), loaded.sha256, f"{len(rows)} rows")
     return EXIT_OK
 
 
@@ -283,6 +269,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
+    except OSError as exc:  # a scenario, --out or --trace path that cannot be opened
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_SCENARIO
 
 

@@ -188,11 +188,11 @@ class CostFunction:
     """Estimation cost of one process as a function of its AoI.
 
     ``cost(i)`` is the trace of the steady local-filter covariance pushed
-    forward ``i`` slots.  Values are memoized incrementally; a parallel
-    log-scaled track serves ``log_cost(i)`` for ages where the plain value
-    would overflow.  The memo tables grow on demand and are not locked, so
-    either call :meth:`precompute` before sharing across threads or keep one
-    instance per thread.
+    forward ``i`` slots.  One loop extends two tables on demand: the plain
+    trace while the covariance stays below ``_PLAIN_LIMIT``, then ``exp`` of
+    the log-scaled track (``inf`` beyond float range), and the log-scaled
+    track itself, which serves ``log_cost(i)`` at any age.  Only the last
+    iterate of each track is kept.
     """
 
     def __init__(self, model: ProcessModel, kf: SteadyStateKF | None = None):
@@ -202,31 +202,22 @@ class CostFunction:
         self.kf = kf
         self.steady_covariance = kf.covariance
         self.plant_spectral_radius = spectral_radius(model.A)
-        # index i holds the i-step propagated covariance; entry 0 is the base
-        self._plain: list[np.ndarray] = [kf.covariance]
         trace0 = float(np.trace(kf.covariance))
-        self._traces: list[float] = [trace0]
+        # the last iterate of each track: the plain covariance (None once it
+        # passes the limit), and the covariance over its trace with the log trace
+        self._plain: np.ndarray | None = kf.covariance
         if trace0 > 0.0:
-            self._scaled: list[tuple[np.ndarray, float]] = [
-                (kf.covariance / trace0, math.log(trace0))
-            ]
+            self._scaled = (kf.covariance / trace0, math.log(trace0))
         else:
-            self._scaled = [(kf.covariance.copy(), -math.inf)]
-        self._log_traces: list[float] = [self._scaled[0][1]]
+            self._scaled = (kf.covariance.copy(), -math.inf)
+        # index i holds age i; entry 0 belongs to the steady covariance itself
+        self._costs: list[float] = [trace0]
+        self._log_costs: list[float] = [self._scaled[1]]
 
-    def _extend_plain(self, i: int) -> None:
-        while len(self._plain) <= i:
-            last = self._plain[-1]
-            if float(np.max(np.abs(last))) > _PLAIN_LIMIT:
-                break
-            nxt = propagate_covariance(self.model, last, 1)
-            self._plain.append(nxt)
-            self._traces.append(float(nxt.trace()))
-
-    def _extend_scaled(self, i: int) -> None:
+    def _extend(self, i: int) -> None:
         a, w = self.model.A, self.model.W
-        while len(self._scaled) <= i:
-            mat, scale = self._scaled[-1]
+        while len(self._log_costs) <= i:
+            mat, scale = self._scaled
             if scale == -math.inf:
                 y = w.copy()
                 base = 0.0
@@ -238,11 +229,16 @@ class CostFunction:
                 base = 0.0
             y = (y + y.T) / 2.0
             tau = float(np.trace(y))
-            if tau > 0.0:
-                self._scaled.append((y / tau, base + math.log(tau)))
+            self._scaled = (y / tau, base + math.log(tau)) if tau > 0.0 else (y, -math.inf)
+            log_c = self._scaled[1]
+            self._log_costs.append(log_c)
+            if self._plain is not None and float(np.max(np.abs(self._plain))) > _PLAIN_LIMIT:
+                self._plain = None
+            if self._plain is not None:
+                self._plain = propagate_covariance(self.model, self._plain, 1)
+                self._costs.append(float(self._plain.trace()))
             else:
-                self._scaled.append((y, -math.inf))
-            self._log_traces.append(self._scaled[-1][1])
+                self._costs.append(math.exp(log_c) if log_c < _LOG_MAX_FLOAT else math.inf)
 
     def cost(self, i: int) -> float:
         """Trace of the ``i``-step propagated steady covariance, ``i >= 1``.
@@ -251,36 +247,18 @@ class CostFunction:
         """
         if i < 1:
             raise ValueError("AoI must be >= 1")
-        if i < len(self._traces):
-            return self._traces[i]
-        self._extend_plain(i)
-        if i < len(self._traces):
-            return self._traces[i]
-        log_c = self.log_cost(i)
-        return math.exp(log_c) if log_c < _LOG_MAX_FLOAT else math.inf
+        self._extend(i)
+        return self._costs[i]
 
     def log_cost(self, i: int) -> float:
         """Natural log of :meth:`cost`, stable for arbitrarily large ``i``."""
         if i < 1:
             raise ValueError("AoI must be >= 1")
-        if i < len(self._log_traces):
-            return self._log_traces[i]
-        self._extend_scaled(i)
-        return self._log_traces[i]
+        self._extend(i)
+        return self._log_costs[i]
 
     def tables(self, i_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`cost` and :meth:`log_cost` at ages ``0..i_max``; entry 0 is NaN.
-
-        Read from the memo tracks, so entry ``i`` equals ``cost(i)`` and
-        ``log_cost(i)`` bit for bit.
-        """
-        self.precompute(i_max)
-        plain = self._traces[1 : i_max + 1]
-        logs = self._log_traces[1 : i_max + 1]
-        tail = [math.exp(x) if x < _LOG_MAX_FLOAT else math.inf for x in logs[len(plain) :]]
-        return np.array([math.nan] + plain + tail), np.array([math.nan] + logs)
-
-    def precompute(self, i_max: int) -> None:
-        """Populate both memo tracks up to ``i_max`` (e.g. before sharing)."""
-        self._extend_plain(i_max)
-        self._extend_scaled(i_max)
+        """:meth:`cost` and :meth:`log_cost` at ages ``0..i_max``; entry 0 is NaN."""
+        self._extend(i_max)
+        ages = slice(1, i_max + 1)
+        return np.array([math.nan] + self._costs[ages]), np.array([math.nan] + self._log_costs[ages])

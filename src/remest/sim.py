@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import copy
 import math
-from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CascadedChain, SemiMarkovChannelModel, build_cascaded_chain, chain_stationary
+from .channel import CascadedChain, SemiMarkovChannelModel, _walk_path
+from .channel import build_cascaded_chain, chain_stationary
 from .errors import InvalidActionError
 from .process import CostFunction, ProcessModel
 
@@ -296,16 +296,10 @@ def _walk(state: SimState, scenario: Scenario, k: int) -> tuple[np.ndarray, np.n
     """
     m = scenario.num_frequencies
     draws = state.rng.random((k, m + 1))
-    cum = scenario.chain._cum_tuples
-    current = state.channel_state
-    visited = []
-    visit = visited.append
-    for u in draws[:, m].tolist():
-        visit(current)
-        current = bisect_right(cum[current], u)
-    state.channel_state = current
+    walked = _walk_path(scenario.chain, state.channel_state, draws[:, m])
+    state.channel_state = walked.pop()
     state.slot += k
-    return np.array(visited), draws[:, :m]
+    return np.array(walked), draws[:, :m]
 
 
 def _advance(block: _Block, start: int, path: np.ndarray, uniforms: np.ndarray) -> _Chunk:
@@ -433,18 +427,18 @@ class _Tally:
         return np.logaddexp.reduce(terms, axis=2) - math.log(slots)
 
     def costs(self, slots: int) -> tuple[np.ndarray, np.ndarray, bool]:
-        """One cell's per-sensor average cost, its log, and whether any cost overflowed."""
+        """One cell's per-sensor average cost, its log, and whether any average overflowed."""
         log_avg = self.log_costs(slots)[0]
         avg = []
         saturated = False
         for counts, cf, log in zip(self.occupancy[0], self.cost_functions, log_avg):
             ages = np.flatnonzero(counts)
-            lin = cf.tables(int(ages[-1]))[0][ages]
-            if np.isinf(lin).any():
+            with np.errstate(over="ignore"):
+                value = counts[ages] @ cf.tables(int(ages[-1]))[0][ages] / slots
+            if not math.isfinite(value):  # read from the log, finite if the average is
                 saturated = True
-                avg.append(math.exp(log) if log < _LOG_MAX_FLOAT else math.inf)
-            else:
-                avg.append(counts[ages] @ lin / slots)
+                value = math.exp(log) if log < _LOG_MAX_FLOAT else math.inf
+            avg.append(value)
         return np.array(avg), log_avg, saturated
 
     def summary(self, policy, horizon: int, seed, **extra) -> "SimSummary":

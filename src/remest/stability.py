@@ -43,13 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    CascadedChain,
-    _selection_vector,
-    drop_matrix,
-    greedy_selection,
-    stationary_distribution,
-)
+from .channel import CascadedChain, _selection_vector, greedy_selection, stationary_distribution
 from .errors import DivergentSeriesError, NonConvergentError
 from .process import ProcessModel, spectral_radius
 
@@ -122,11 +116,27 @@ def _report(plant, factor: float, selection, csi_mode: str, tol_boundary: float,
     )
 
 
+def _greedy_factors(drops: np.ndarray, transition: np.ndarray) -> np.ndarray:
+    """``rho(V(v*) T)`` for a drop table (S x M) or for each of a stack of them.
+
+    Row i of T is scaled by state i's smallest drop: that is ``V(v*) T`` bit
+    for bit, since every other term of the matrix product is an exact zero.
+    One batched eigensolve runs the same LAPACK routine on each matrix as
+    :func:`spectral_radius`; if it fails, each matrix goes through
+    ``spectral_radius``, which retries on the transpose before raising
+    :class:`NonConvergentError`.
+    """
+    fail = drops.min(axis=-1)[..., None] * transition
+    try:
+        return np.abs(np.linalg.eigvals(fail)).max(axis=-1)
+    except np.linalg.LinAlgError:
+        each = [spectral_radius(m) for m in fail.reshape(-1, *transition.shape)]
+        return np.reshape(each, fail.shape[:-2])
+
+
 def current_csi_factor(chain: CascadedChain) -> tuple[float, np.ndarray]:
     """Spectral factor and greedy selection for the current-CSI test."""
-    v_star = greedy_selection(chain)
-    lam = spectral_radius(drop_matrix(chain, v_star) @ chain.transition)
-    return lam, v_star
+    return float(_greedy_factors(chain.drops, chain.transition)), greedy_selection(chain)
 
 
 def evaluate_current_csi(
@@ -245,11 +255,10 @@ def cycle_chain(chain: CascadedChain, tol_tail: float = 1e-12) -> CycleAnalysis:
     ``max |(I - F) G - S|`` above ``tol_tail`` raises
     :class:`NonConvergentError`.
     """
-    v_star = greedy_selection(chain)
-    v_mat = drop_matrix(chain, v_star)
-    fail = v_mat @ chain.transition
-    success = (np.eye(chain.num_states) - v_mat) @ chain.transition
-    rho_fail = spectral_radius(fail)
+    min_drop = chain.drops.min(axis=1)
+    fail = min_drop[:, None] * chain.transition  # V(v*) T, bit for bit
+    success = (1.0 - min_drop)[:, None] * chain.transition  # (I - V(v*)) T
+    rho_fail = float(_greedy_factors(chain.drops, chain.transition))
     if rho_fail >= 1.0:
         raise DivergentSeriesError(
             f"failure-step spectral radius {rho_fail} >= 1; cycle statistics undefined"
@@ -261,7 +270,6 @@ def cycle_chain(chain: CascadedChain, tol_tail: float = 1e-12) -> CycleAnalysis:
     if not residual <= tol_tail:  # a NaN residual fails too
         raise NonConvergentError(f"cycle solve residual {residual:.3e} exceeds {tol_tail}")
 
-    min_drop = chain.drops.min(axis=1)
     inbound_success = success.sum(axis=0)
     pre = tuple(
         i
@@ -283,7 +291,7 @@ def cycle_chain(chain: CascadedChain, tol_tail: float = 1e-12) -> CycleAnalysis:
         fail_step=fail,
         success_step=success,
         fail_radius=rho_fail,
-        selection=v_star,
+        selection=greedy_selection(chain),
     )
 
 

@@ -13,6 +13,7 @@ they diff cleanly.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,9 @@ import numpy as np
 from . import __version__
 from .channel import CascadedChain, _check_probabilities
 from .errors import ScenarioValidationError
-from .process import spectral_radius
 from .scenario import AxisSpec, LoadedScenario, SweepSpec
 from .sim import Scenario, _run_cells, make_policy
-from .stability import STABLE, _report, current_csi_factor, delayed_csi_factor
+from .stability import STABLE, _greedy_factors, _report, current_csi_factor, delayed_csi_factor
 from .stability import max_plant_spectral_radius, verdict_for
 
 _CHUNK_BYTES = 1 << 18  # bytes of stacked failure matrices per batched eigensolve
@@ -90,11 +90,9 @@ def sweep_stability(
 ) -> SweepResult:
     """Evaluate the current-CSI test over the scenario's sweep grid.
 
-    Every cell's factor equals ``current_csi_factor`` of its overridden chain
-    bit for bit: ``d[:, None] * T`` is exactly ``diag(d) @ T`` and the
-    batched eigensolve runs the same LAPACK routine on each matrix.  A chunk
-    whose batched solve fails is redone cell by cell by ``spectral_radius``,
-    which retries on the transpose before raising ``NonConvergentError``.
+    The cells' drop tables go to the greedy failure step in chunks, so every
+    cell's factor is ``current_csi_factor`` of its overridden chain bit for
+    bit (see ``stability._greedy_factors``).
     """
     if loaded.sweep is None:
         raise ScenarioValidationError("scenario has no sweep section", "sweep")
@@ -119,11 +117,7 @@ def sweep_stability(
         drops = np.repeat(chain.drops[None], cell_v1[part].size, axis=0)
         drops[:, mask1] = cell_v1[part, None]
         drops[:, mask2] = cell_v2[part, None]
-        fail = drops.min(axis=-1)[..., None] * chain.transition
-        try:
-            factor[part] = np.abs(np.linalg.eigvals(fail)).max(axis=-1)
-        except np.linalg.LinAlgError:
-            factor[part] = [spectral_radius(m) for m in fail]
+        factor[part] = _greedy_factors(drops, chain.transition)
     factor = factor.reshape(rows, cols)
 
     product = rho_max**2 * factor
@@ -139,38 +133,41 @@ def sweep_stability(
     )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _csv_lines(header: list[str], columns) -> Iterator[str]:
+    """A table given column by column as CSV text: the header line, then blocks of rows.
+
+    Floats are written as ``repr`` (shortest round trip), strings unchanged
+    and any other value by ``str``.  Rows are formatted ``_CSV_BLOCK`` at a
+    time, so memory stays flat.
+    """
+    yield ",".join(header) + "\n"
+    columns = [np.asarray(c) for c in columns]
+    for lo in range(0, len(columns[0]), _CSV_BLOCK):
+        cells = []
+        for column in columns:
+            values = column[lo : lo + _CSV_BLOCK].tolist()
+            if column.dtype.kind == "f":
+                values = map(repr, values)
+            elif column.dtype.kind != "U":
+                values = [v if isinstance(v, str) else str(v) for v in values]
+            cells.append(values)
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _write_text(path, header: list[str], chunks, scenario_sha256: str) -> None:
-    """Comment lines and header, then newline-terminated chunks of CSV text."""
+def _write_csv(path, header: list[str], columns, scenario_sha256: str) -> None:
+    """Two comment lines (tool version, scenario hash), then the table's CSV text."""
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# remest {__version__}\n# scenario sha256={scenario_sha256}\n")
-        fh.write(",".join(header) + "\n")
-        fh.writelines(chunks)
-
-
-def _write_csv(path, header: list[str], rows, scenario_sha256: str) -> None:
-    _write_text(path, header, (",".join(map(_fmt, row)) + "\n" for row in rows), scenario_sha256)
+        fh.writelines(_csv_lines(header, columns))
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
     """One CSV row per grid cell, row-major, shortest round-trip floats."""
     header = [result.axis_labels[0], result.axis_labels[1], "lambda", "product", "verdict"]
     rows, cols = result.factor.shape
-    v1, v2 = np.repeat(result.values1, cols), np.tile(result.values2, rows)
-    columns = (v1, v2, result.factor.ravel(), result.product.ravel(), result.verdict.ravel())
-
-    def blocks():
-        for lo in range(0, rows * cols, _CSV_BLOCK):
-            cells = (map(repr, c[lo : lo + _CSV_BLOCK].tolist()) for c in columns[:4])
-            verdicts = columns[4][lo : lo + _CSV_BLOCK].tolist()
-            yield "\n".join(map(",".join, zip(*cells, verdicts))) + "\n"
-
-    _write_text(path, header, blocks(), result.scenario_sha256)
+    columns = [np.repeat(result.values1, cols), np.tile(result.values2, rows)]
+    columns += [result.factor.ravel(), result.product.ravel(), result.verdict.ravel()]
+    _write_csv(path, header, columns, result.scenario_sha256)
 
 
 @dataclass(frozen=True)
@@ -238,26 +235,18 @@ def write_simulated_csv(
         "growth_ratio_max",
         "log10_running_cost",
     ]
-    rows = []
-    idx = 0
-    for i in range(analytic.values1.size):
-        for j in range(analytic.values2.size):
-            cell = cells[idx]
-            idx += 1
-            ratios = np.array(cell.growth_ratios)
-            rows.append(
-                [
-                    cell.value1,
-                    cell.value2,
-                    float(analytic.product[i, j]),
-                    analytic.verdict[i, j],
-                    float(ratios.mean()),
-                    float(ratios.min()),
-                    float(ratios.max()),
-                    cell.log10_final,
-                ]
-            )
-    _write_csv(path, header, rows, analytic.scenario_sha256)
+    ratios = [np.array(cell.growth_ratios) for cell in cells]
+    columns = [
+        [cell.value1 for cell in cells],
+        [cell.value2 for cell in cells],
+        analytic.product.ravel(),
+        analytic.verdict.ravel(),
+        [r.mean() for r in ratios],
+        [r.min() for r in ratios],
+        [r.max() for r in ratios],
+        [cell.log10_final for cell in cells],
+    ]
+    _write_csv(path, header, columns, analytic.scenario_sha256)
 
 
 @dataclass(frozen=True)
@@ -292,17 +281,15 @@ def compare_csi(
     ]
 
 
-def write_csi_csv(rows: list[CsiComparisonRow], path, scenario_sha256: str) -> None:
+def _csi_table(rows: list[CsiComparisonRow]) -> tuple[list[str], list[list]]:
+    """Header and columns of the CSI comparison table."""
     header = ["csi_mode", "L", "factor", "rho_max_threshold", "product", "verdict"]
-    data = (
-        [
-            r.csi_mode,
-            "" if r.horizon is None else r.horizon,
-            r.factor,
-            r.rho_max_threshold,
-            r.product,
-            r.verdict,
-        ]
-        for r in rows
-    )
-    _write_csv(path, header, data, scenario_sha256)
+    columns = [
+        [r.csi_mode for r in rows],
+        ["" if r.horizon is None else str(r.horizon) for r in rows],
+        [r.factor for r in rows],
+        [r.rho_max_threshold for r in rows],
+        [r.product for r in rows],
+        [r.verdict for r in rows],
+    ]
+    return header, columns

@@ -13,6 +13,7 @@ from remest import (
     drop_matrix,
     greedy_selection,
     hazard,
+    load_bundled_scenario,
     sample_path,
     sample_paths,
     stationary_distribution,
@@ -347,6 +348,21 @@ class TestSampling:
         assert path.shape == (501,)
         assert path[0] == 3
         assert path.min() >= 0 and path.max() < chain.num_states
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_sample_path_equals_one_draw_per_step(self, seed):
+        rng = np.random.default_rng(seed)
+        chains = [
+            load_bundled_scenario().scenario.chain,
+            build_cascaded_chain(random_semi_markov(rng, levels=(2, 3), max_holding=4)),
+        ]
+        for chain in chains:
+            path = sample_path(chain, 1, 3000, np.random.default_rng(seed))
+            one_draw = np.random.default_rng(seed)
+            want = [1]
+            for _ in range(3000):
+                want.append(sample_next(chain, want[-1], one_draw))
+            assert path.dtype == np.int64 and path.tolist() == want
 
     def test_sample_paths_matches_sample_path_statistics(self, rng):
         chain = build_cascaded_chain(example_channel(psi1=0.3))

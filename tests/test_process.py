@@ -206,11 +206,17 @@ class TestCostFunction:
         assert lc == pytest.approx(2 * 50_000 * math.log(1.5), rel=1e-3)
         assert cf.cost(50_000) == math.inf
 
-    def test_precompute_then_share(self):
-        cf = CostFunction(scalar_process(1.2))
-        cf.precompute(50)
-        assert len(cf._traces) >= 51
-        assert len(cf._log_traces) >= 51
+    @pytest.mark.parametrize("a", [0.5, 1.5, 1e3])
+    def test_tables_equal_cost_and_log_cost(self, a):
+        # at a = 1e3 the plain covariance passes its limit near age 42, and
+        # the costs from age 52 on are beyond float range
+        costs, logs = CostFunction(scalar_process(a)).tables(300)
+        cf = CostFunction(scalar_process(a))
+        assert math.isnan(costs[0]) and math.isnan(logs[0])
+        assert costs[1:].tolist() == [cf.cost(i) for i in range(1, 301)]
+        assert logs[1:].tolist() == [cf.log_cost(i) for i in range(1, 301)]
+        if a == 1e3:
+            assert math.isfinite(costs[51]) and costs[52] == math.inf
 
 
 class TestGrowthRate:

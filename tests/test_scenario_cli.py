@@ -451,6 +451,42 @@ class TestCli:
         assert out[1].startswith("current,")
         assert out[2].startswith("delayed,1,")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare-csi", "--L", "2"],
+            ["simulate", "--horizon", "300", "--seeds", "1,2"],
+            ["simulate", "--horizon", "300", "--seeds", "4,5", "--policy", "greedy-topk"],
+            ["simulate", "--horizon", "50", "--seed", str(2**64)],  # an object seed column
+        ],
+        ids=["compare-csi", "simulate", "simulate-greedy-topk", "simulate-seed-past-uint64"],
+    )
+    def test_stdout_table_is_out_csv_without_comments(self, argv, tmp_path, capsys):
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "table.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        comments = out.read_bytes().split(b"\n", 2)
+        assert comments[0].startswith(b"# remest ") and comments[1].startswith(b"# scenario ")
+        assert printed.encode() == comments[2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--scenario", "{missing}/s.yaml"],
+            ["compare-csi", "--out", "{missing}/x.csv"],
+            ["sweep", "--grid", "2x2", "--out", "{missing}/x.csv"],
+            ["simulate", "--horizon", "50", "--seed", "1", "--trace", "{missing}/t.csv"],
+        ],
+        ids=["scenario", "compare-csi-out", "sweep-out", "trace"],
+    )
+    def test_file_errors_exit_2_naming_the_path(self, argv, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        assert main([a.format(missing=missing) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error: ") and err.count("\n") == 1
+        assert str(missing) in err
+
     def test_simulate_sweep_grid(self, tmp_path):
         out = tmp_path / "simsweep.csv"
         code = main(

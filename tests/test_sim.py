@@ -288,6 +288,22 @@ class TestRun:
             2 * 4000 * math.log(1.5) - math.log(4000), rel=1e-2
         )
 
+    def test_average_finite_when_its_sum_overflows(self):
+        # the cost at age 40 is about 6.3e307, so summing the 1000 slots'
+        # costs overflows although their average is about 1.5e306
+        a = 10 ** (307.8 / 80)
+        procs = [scalar_process(a, index=i) for i in range(40)]
+        s = Scenario.build(procs, bernoulli_channel(0.0))
+        summary = run(s, RoundRobinPolicy(40, s.chain), horizon=1000, seed=1)
+        assert summary.saturated
+        assert np.all(np.isfinite(summary.avg_cost))
+        assert summary.avg_cost.tolist() == [math.exp(x) for x in summary.log_avg_cost]
+        # round robin serves sensor 0 in slots 40 k + 1 and every slot delivers,
+        # so its AoI runs 1..40 from slot 2 on after a first slot at age 1
+        ages = np.concatenate([[1], np.tile(np.arange(1, 41), 25)[:999]])
+        cost = s.cost_functions[0].tables(40)[0]
+        assert summary.avg_cost[0] == pytest.approx(np.sum(cost[ages] / 1000), rel=1e-12)
+
     def test_record_limit(self):
         s = example_scenario()
         records = []

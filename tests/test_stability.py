@@ -86,6 +86,21 @@ class TestCurrentCsi:
             assert lam == pytest.approx(gelfand_spectral_radius(mat), abs=1e-8)
             assert 0.0 <= lam <= 1.0 + 1e-12
 
+    def test_factor_is_cycle_chain_fail_radius(self, rng):
+        models = [example_channel()] + [
+            random_semi_markov(rng, levels=levels, max_holding=3, max_drop=0.9)
+            for levels in [(2, 2), (3, 2), (2, 2, 2)]
+        ]
+        for model in models:
+            chain = build_cascaded_chain(model)
+            lam, v_star = current_csi_factor(chain)
+            analysis = cycle_chain(chain)
+            assert lam == analysis.fail_radius
+            v_mat = drop_matrix(chain, v_star)
+            assert np.array_equal(analysis.fail_step, v_mat @ chain.transition)
+            success = (np.eye(chain.num_states) - v_mat) @ chain.transition
+            assert np.array_equal(analysis.success_step, success)
+
     def test_boundary_verdict(self):
         chain = build_cascaded_chain(bernoulli_channel(0.5))
         report = evaluate_current_csi([scalar_process(math.sqrt(2.0))], chain)
