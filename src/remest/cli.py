@@ -4,7 +4,9 @@ Subcommands: ``validate`` (scenario lint), ``check`` (stability verdict),
 ``sweep`` (stability-region grid), ``simulate`` (Monte Carlo runs), and
 ``compare-csi`` (current vs delayed channel-state information).  Exit code 0
 means the computation ran (whatever the verdict), 2 a usage or scenario problem,
-including a scenario, output or trace file that cannot be opened.
+including a scenario, output or trace file that cannot be opened.  Output and
+trace files are opened once the scenario has loaded, before any computation,
+so an unwritable path fails at once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import ScenarioError
 from .scenario import load_bundled_scenario, load_scenario
 from .sim import POLICIES, full_physics_run, make_policy, run
 from .stability import evaluate_current_csi, evaluate_delayed_csi
-from .sweep import _csi_table, _csv_lines, _write_csv, compare_csi, sweep_simulated
+from .sweep import _csi_table, _csv_lines, _open_csv, _write_csv, compare_csi, sweep_simulated
 from .sweep import sweep_stability, write_simulated_csv, write_sweep_csv
 
 EXIT_OK = 0
@@ -154,8 +156,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_sweep(args) -> int:
     loaded = _load(args)
-    result = sweep_stability(loaded, grid=args.grid)
-    write_sweep_csv(result, args.out)
+    with _open_csv(args.out) as out:
+        result = sweep_stability(loaded, grid=args.grid)
+        write_sweep_csv(result, out)
     stable = int(np.sum(result.region_mask))
     total = result.factor.size
     print(f"wrote {args.out}: {stable}/{total} cells stable (rho_max={result.rho_max!r})")
@@ -163,16 +166,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _emit_table(out, header: list[str], columns, scenario_sha256: str, summary: str) -> None:
-    """Write the table to the CSV file ``out``, or print it without the comment lines."""
+    """Write the table to the open CSV file ``out``, or print it without the comment lines."""
     if out:
         _write_csv(out, header, columns, scenario_sha256)
-        print(f"wrote {out}: {summary}")
+        print(f"wrote {out.name}: {summary}")
     else:
         sys.stdout.writelines(_csv_lines(header, columns))
 
 
-def _trace_writer(path):
-    fh = open(path, "w", newline="\n")
+def _trace_hook(fh):
+    """Record hook writing one trace row per slot to the open file ``fh``."""
     fh.write("slot,channel_state,actions,outcomes,aoi,cost\n")
 
     def hook(record):
@@ -184,7 +187,7 @@ def _trace_writer(path):
             f"{float(record.costs.sum())!r}\n"
         )
 
-    return fh, hook
+    return hook
 
 
 def _cmd_simulate(args) -> int:
@@ -202,50 +205,52 @@ def _cmd_simulate(args) -> int:
         if not args.out:
             print("--out is required with --sweep-grid", file=sys.stderr)
             return EXIT_SCENARIO
-        analytic, cells = sweep_simulated(
-            loaded, grid=args.sweep_grid, horizon=horizon, seeds=seeds, policy_name=policy_name
-        )
-        write_simulated_csv(analytic, cells, args.out)
+        with _open_csv(args.out) as out:
+            analytic, cells = sweep_simulated(
+                loaded, grid=args.sweep_grid, horizon=horizon, seeds=seeds, policy_name=policy_name
+            )
+            write_simulated_csv(analytic, cells, out)
         print(f"wrote {args.out}: {len(cells)} cells, {len(seeds)} seeds each")
         return EXIT_OK
 
-    rows = []
-    for k, seed in enumerate(seeds):
-        policy = make_policy(policy_name, scenario)
-        if args.full_physics:
-            summary = full_physics_run(scenario, policy, horizon, seed)
-        elif args.trace and k == 0:
-            trace_fh, hook = _trace_writer(args.trace)
-            with trace_fh:
+    with _open_csv(args.out) as out, _open_csv(args.trace) as trace:
+        rows = []
+        for k, seed in enumerate(seeds):
+            policy = make_policy(policy_name, scenario)
+            if args.full_physics:
+                summary = full_physics_run(scenario, policy, horizon, seed)
+            elif trace and k == 0:
                 summary = run(
-                    scenario, policy, horizon, seed, record_hook=hook, record_limit=args.trace_slots
+                    scenario, policy, horizon, seed,
+                    record_hook=_trace_hook(trace), record_limit=args.trace_slots,
                 )
-        else:
-            summary = run(scenario, policy, horizon, seed)
-        row = [seed, horizon, policy_name, summary.total_cost, summary.log_total_cost / math.log(10.0)]
-        row.extend(float(j) for j in summary.avg_cost)
-        rows.append(row)
-        if args.full_physics and summary.mse_buckets is not None:
-            b = summary.mse_buckets
-            for n in range(scenario.num_sensors):
-                for age in range(1, b.counts.shape[1]):
-                    if b.counts[n, age] > 0:
-                        print(
-                            f"seed={seed} sensor={n} aoi={age} samples={b.counts[n, age]} "
-                            f"mse={float(b.mean_sq[n, age])!r} predicted={float(b.predicted[n, age])!r}"
-                        )
+            else:
+                summary = run(scenario, policy, horizon, seed)
+            row = [seed, horizon, policy_name, summary.total_cost, summary.log_total_cost / math.log(10.0)]
+            row.extend(float(j) for j in summary.avg_cost)
+            rows.append(row)
+            if args.full_physics and summary.mse_buckets is not None:
+                b = summary.mse_buckets
+                for n in range(scenario.num_sensors):
+                    for age in range(1, b.counts.shape[1]):
+                        if b.counts[n, age] > 0:
+                            print(
+                                f"seed={seed} sensor={n} aoi={age} samples={b.counts[n, age]} "
+                                f"mse={float(b.mean_sq[n, age])!r} predicted={float(b.predicted[n, age])!r}"
+                            )
 
-    header = ["seed", "horizon", "policy", "J_total", "log10_J_total"] + [
-        f"J_{n}" for n in range(scenario.num_sensors)
-    ]
-    _emit_table(args.out, header, list(zip(*rows)), loaded.sha256, f"{len(rows)} runs")
+        header = ["seed", "horizon", "policy", "J_total", "log10_J_total"] + [
+            f"J_{n}" for n in range(scenario.num_sensors)
+        ]
+        _emit_table(out, header, list(zip(*rows)), loaded.sha256, f"{len(rows)} runs")
     return EXIT_OK
 
 
 def _cmd_compare_csi(args) -> int:
     loaded = _load(args)
-    rows = compare_csi(loaded, l_max=args.L)
-    _emit_table(args.out, *_csi_table(rows), loaded.sha256, f"{len(rows)} rows")
+    with _open_csv(args.out) as out:
+        rows = compare_csi(loaded, l_max=args.L)
+        _emit_table(out, *_csi_table(rows), loaded.sha256, f"{len(rows)} rows")
     return EXIT_OK
 
 

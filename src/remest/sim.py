@@ -479,7 +479,9 @@ class SimSummary:
 
     @property
     def total_cost(self) -> float:
-        return float(self.avg_cost.sum())
+        """Sum of the per-sensor averages; inf, without a warning, past the float range."""
+        with np.errstate(over="ignore"):
+            return float(self.avg_cost.sum())
 
     @property
     def log_total_cost(self) -> float:

@@ -7,8 +7,28 @@ scheduling policy if and only if
 
 where rho_max is the largest plant spectral radius, T the cascaded channel
 transition matrix, v* the per-state greedy frequency selection and V(v*) the
-diagonal matrix of the selected drop probabilities.  With one-step-delayed
-information the same test uses
+diagonal matrix of the selected drop probabilities.
+
+The same factor is the root of an m x m problem over the quality states
+alone, the Markov-renewal (semi-Markov kernel) form of the channel.  Write
+d(i, delta) for the greedy drop in cascaded state (quality i, held delta),
+J[(i, delta), :] for its jump row (the columns of the states (j, 1)) and
+s(i, delta) for its stay entry T[(i, delta), (i, delta+1)], zero at delta = D.
+Unrolling ``F x = lambda x`` along one sojourn gives, with mu = 1/lambda,
+
+    a(i, D+1) = 0,   a(i, delta) = d(i, delta) mu (J[(i, delta), :] + s(i, delta) a(i, delta+1)),
+
+and the kernel A(mu) whose row i is a(i, 1) has ``rho(A(1/lambda)) = 1``.
+Its entries are polynomials in mu with nonnegative coefficients and degrees
+1..D, so ``f(t) = log rho(A(e^t))`` is convex (Kingman, "A convexity
+property of positive matrices", Quart. J. Math. 12, 1961) with slope in
+[1, D], and Newton's method on f finds ``t = -log lambda`` monotonically.
+The recursion uses elementwise products only: it never forms mu^D, which
+overflows when lambda is small, and it does not assume that rows sum to 1.
+Sweeps of long-holding chains use this form (``_kernel_factors``); single
+chains use the dense eigensolve (``_greedy_factors``).
+
+With one-step-delayed information the same test uses
 
     lambda_L = min over (v_1 .. v_L) of rho(E(v_1) ... E(v_L))^(1/L),
 
@@ -46,6 +66,9 @@ import numpy as np
 from .channel import CascadedChain, _selection_vector, greedy_selection, stationary_distribution
 from .errors import DivergentSeriesError, NonConvergentError
 from .process import ProcessModel, spectral_radius
+
+_EPS = float(np.finfo(float).eps)
+_KERNEL_MAX_STEPS = 100  # bisecting a bracket of width 750 to four ulps takes 60
 
 STABLE = "stable"
 UNSTABLE = "unstable"
@@ -132,6 +155,84 @@ def _greedy_factors(drops: np.ndarray, transition: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         each = [spectral_radius(m) for m in fail.reshape(-1, *transition.shape)]
         return np.reshape(each, fail.shape[:-2])
+
+
+def _kernel(drop: np.ndarray, jump: np.ndarray, stay: np.ndarray, t: np.ndarray):
+    """``A(e^t)`` and its derivative in t, for each cell, by the recursion over held time.
+
+    ``drop`` is (cells, m, D), ``jump`` (m, D, m) and ``stay`` (m, D); row i of
+    the result is ``a(i, 1)`` with ``a(i, D+1) = 0`` and
+    ``a(i, delta) = d mu (J[(i, delta), :] + s a(i, delta+1))``, so the
+    derivative ``b`` obeys ``b(i, delta) = a(i, delta) + d mu s b(i, delta+1)``.
+    """
+    scaled = drop * np.exp(t)[:, None, None]  # d(i, delta) mu
+    a = scaled[:, :, -1, None] * jump[:, -1]
+    da = a
+    for k in range(drop.shape[2] - 2, -1, -1):
+        carry = (scaled[:, :, k] * stay[:, k])[:, :, None]
+        a = scaled[:, :, k, None] * jump[:, k] + carry * a
+        da = a + carry * da
+    return a, da
+
+
+def _kernel_factors(drops: np.ndarray, transition: np.ndarray, max_holding: int) -> np.ndarray:
+    """``rho(V(v*) T)`` for a stack of drop tables, from the m x m Markov-renewal kernel.
+
+    The root t of ``f(t) = log rho(A(e^t)) = 0`` gives ``lambda = e^-t`` (see
+    the module docstring).  f is convex with slope in [1, D], so the root lies
+    between ``-f(0)`` and ``-f(0)/D``; Newton steps run from the end where
+    f >= 0, with the slope from one ``eig`` (right vector from V, left from
+    the matching row of V^-1), and a step that is not finite and positive or
+    that leaves the bracket is replaced by bisection.  A cell stops when its
+    own step is at most four ulps, so its bits depend on its drop table alone.
+    A kernel with ``rho(A(1)) = 0`` is nilpotent at every t and gives exactly
+    0.  A cell whose kernel passes the float range (``rho(A(1))`` below about
+    e^-88 at D = 8), or that has not settled after ``_KERNEL_MAX_STEPS``
+    steps, gives NaN, and a failed ``eig`` or ``inv`` raises
+    ``np.linalg.LinAlgError``; callers compute those cells by
+    :func:`_greedy_factors`.
+    """
+    m = transition.shape[0] // max_holding
+    drop = drops.min(axis=-1).reshape(-1, m, max_holding)
+    jump = transition[:, ::max_holding].reshape(m, max_holding, m)
+    # T[k, k+1] padded to m D entries; the held-D column is never read
+    stay = np.append(transition.diagonal(1), 0.0).reshape(m, max_holding)
+    factor = np.zeros(drop.shape[0])
+
+    rho0 = np.abs(np.linalg.eigvals(_kernel(drop, jump, stay, np.zeros(len(drop)))[0])).max(axis=-1)
+    live = np.flatnonzero(rho0 > 0.0)
+    f0 = np.log(rho0[live])
+    lo = np.minimum(-f0, -f0 / max_holding)
+    hi = np.maximum(-f0, -f0 / max_holding)
+    t = hi.copy()
+    for _ in range(_KERNEL_MAX_STEPS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, da = _kernel(drop[live], jump, stay, t)
+        keep = np.isfinite(a).all(axis=(1, 2))  # a kernel past the float range leaves as NaN
+        factor[live[~keep]] = np.nan
+        live, t, lo, hi, a, da = (x[keep] for x in (live, t, lo, hi, a, da))
+        if not live.size:
+            return factor
+        vals, vecs = np.linalg.eig(a)
+        rows = np.arange(live.size)
+        perron = np.argmax(vals.real, axis=-1)
+        rho = np.abs(vals).max(axis=-1)
+        vecs = vecs.astype(complex)  # one inverse routine whatever the other cells' spectra
+        left = np.linalg.inv(vecs)[rows, perron]
+        right = vecs[rows, :, perron]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.einsum("ci,cij,cj->c", left, da, right).real / rho
+            f = np.log(rho)
+            step = t - f / slope
+        hi = np.where(f > 0.0, t, hi)
+        lo = np.where(f > 0.0, lo, t)
+        newton = np.isfinite(step) & (slope > 0.0) & (lo <= step) & (step <= hi)
+        step = np.where(newton, step, 0.5 * (lo + hi))
+        done = np.abs(step - t) <= 4.0 * _EPS * np.maximum(1.0, np.abs(t))
+        factor[live[done]] = np.exp(-step[done])
+        live, t, lo, hi = live[~done], step[~done], lo[~done], hi[~done]
+    factor[live] = np.nan  # not settled within _KERNEL_MAX_STEPS
+    return factor
 
 
 def current_csi_factor(chain: CascadedChain) -> tuple[float, np.ndarray]:

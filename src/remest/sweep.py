@@ -3,8 +3,15 @@
 A sweep scans two drop-table entries over a grid and evaluates the
 current-CSI stability test in every cell; the stable cells form the
 stability region.  Each axis is a boolean mask over the cascaded drop
-table, and the cells' greedy failure matrices are stacked into batched
-eigensolves of at most 256 KiB each, so memory stays bounded on any grid.
+table, and the cells go through the greedy failure step in chunks of about
+256 KiB, so memory stays bounded on any grid.  A chain whose holding period
+reaches ``_KERNEL_MIN_HOLDING`` slots gets each cell's factor from the
+m x m Markov-renewal kernel of its quality states (``stability._kernel_factors``),
+as the root of ``rho(A(1/lambda)) = 1``; a chain with shorter holding periods
+stacks the cells' mD x mD cascaded failure matrices into batched
+eigensolves (``stability._greedy_factors``), and so do the kernel cells that
+cannot settle.
+
 Output files are plain CSV with two leading comment lines (tool version and
 scenario hash) and are byte-identical across reruns of the same inputs, so
 they diff cleanly.
@@ -12,7 +19,9 @@ they diff cleanly.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -23,10 +32,27 @@ from .channel import CascadedChain, _check_probabilities
 from .errors import ScenarioValidationError
 from .scenario import AxisSpec, LoadedScenario, SweepSpec
 from .sim import Scenario, _run_cells, make_policy
-from .stability import STABLE, _greedy_factors, _report, current_csi_factor, delayed_csi_factor
+from .stability import STABLE, _greedy_factors, _kernel_factors, _report, current_csi_factor
+from .stability import delayed_csi_factor
 from .stability import max_plant_spectral_radius, verdict_for
 
-_CHUNK_BYTES = 1 << 18  # bytes of stacked failure matrices per batched eigensolve
+_CHUNK_BYTES = 1 << 18  # bytes per chunk of cells: failure matrices or kernel arrays
+# Sweeps of chains whose holding period reaches this many slots solve the
+# m x m kernel instead of the mD x mD cascaded eigenproblem.  Measured
+# crossover, dense time over kernel time for a 441-cell sweep of random
+# chains (2 vCPUs, one BLAS thread, numpy 2.4):
+#
+#     m \ D     2     3     4     5     6     8
+#      2      0.25  0.39  0.68  1.03  1.02  1.68
+#      3      0.21  0.39  0.60  1.03  1.28  2.09
+#      4      0.22  0.49  0.69  1.17  1.87  2.47
+#      6      0.24  0.52  0.87  1.28  2.00  3.99
+#      8      0.30  0.53  0.93  1.57  2.37  3.66
+#     12      0.29  0.65  1.17  2.09  2.58  6.50
+#     16      0.33  0.78  1.49  2.85  4.29  7.79
+#
+# From D = 5 the kernel is never slower; at D = 4 it wins only from m = 12.
+_KERNEL_MIN_HOLDING = 5
 _CSV_BLOCK = 4096  # sweep rows formatted per write, so memory stays flat
 
 
@@ -57,6 +83,24 @@ def apply_axes(
     for mask, v in zip(_axis_masks(scenario, axes), values):
         drops[mask] = float(v)
     return scenario.chain.with_drops(drops)
+
+
+def _chunk_factors(drops: np.ndarray, chain: CascadedChain, kernel: bool) -> np.ndarray:
+    """Greedy factors of a chunk of cells, by the kernel or by the dense eigensolve.
+
+    The cells the kernel leaves as NaN, and a whole chunk whose kernel solve
+    raises ``LinAlgError``, go through the dense path.
+    """
+    if not kernel:
+        return _greedy_factors(drops, chain.transition)
+    try:
+        factor = _kernel_factors(drops, chain.transition, chain.max_holding)
+    except np.linalg.LinAlgError:
+        return _greedy_factors(drops, chain.transition)
+    unsettled = np.isnan(factor)
+    if unsettled.any():
+        factor[unsettled] = _greedy_factors(drops[unsettled], chain.transition)
+    return factor
 
 
 @dataclass(frozen=True)
@@ -90,9 +134,11 @@ def sweep_stability(
 ) -> SweepResult:
     """Evaluate the current-CSI test over the scenario's sweep grid.
 
-    The cells' drop tables go to the greedy failure step in chunks, so every
-    cell's factor is ``current_csi_factor`` of its overridden chain bit for
-    bit (see ``stability._greedy_factors``).
+    The cells' drop tables go to the greedy failure step in chunks.  Below
+    ``_KERNEL_MIN_HOLDING`` every cell's factor is ``current_csi_factor`` of
+    its overridden chain bit for bit (see ``stability._greedy_factors``); from
+    it on, the kernel root agrees with that factor to about 1e-14 relative,
+    and a cell's bits depend on its own drop table alone, not on the grid.
     """
     if loaded.sweep is None:
         raise ScenarioValidationError("scenario has no sweep section", "sweep")
@@ -111,13 +157,16 @@ def sweep_stability(
     cell_v1 = np.repeat(values1, cols)
     cell_v2 = np.tile(values2, rows)
     factor = np.empty(rows * cols)
-    chunk = max(1, _CHUNK_BYTES // chain.transition.nbytes)
+    kernel = chain.max_holding >= _KERNEL_MIN_HOLDING
+    # a kernel cell holds its drop table and about eight complex m x m arrays
+    cell_bytes = chain.drops.nbytes + 128 * chain.num_quality_states**2
+    chunk = max(1, _CHUNK_BYTES // (cell_bytes if kernel else chain.transition.nbytes))
     for lo in range(0, factor.size, chunk):
         part = slice(lo, lo + chunk)
         drops = np.repeat(chain.drops[None], cell_v1[part].size, axis=0)
         drops[:, mask1] = cell_v1[part, None]
         drops[:, mask2] = cell_v2[part, None]
-        factor[part] = _greedy_factors(drops, chain.transition)
+        factor[part] = _chunk_factors(drops, chain, kernel)
     factor = factor.reshape(rows, cols)
 
     product = rho_max**2 * factor
@@ -154,15 +203,31 @@ def _csv_lines(header: list[str], columns) -> Iterator[str]:
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _write_csv(path, header: list[str], columns, scenario_sha256: str) -> None:
-    """Two comment lines (tool version, scenario hash), then the table's CSV text."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# remest {__version__}\n# scenario sha256={scenario_sha256}\n")
-        fh.writelines(_csv_lines(header, columns))
+def _open_csv(path):
+    """``path`` opened for the CSV writers, which take it in place of a path.
+
+    With no path, a null context that yields None.
+    """
+    return open(path, "w", newline="\n") if path else contextlib.nullcontext()
+
+
+def _write_csv(out, header: list[str], columns, scenario_sha256: str) -> None:
+    """Two comment lines (tool version, scenario hash), then the table's CSV text.
+
+    ``out`` is a path or a file from :func:`_open_csv`, which stays open.
+    """
+    if isinstance(out, (str, os.PathLike)):
+        with _open_csv(out) as fh:
+            return _write_csv(fh, header, columns, scenario_sha256)
+    out.write(f"# remest {__version__}\n# scenario sha256={scenario_sha256}\n")
+    out.writelines(_csv_lines(header, columns))
 
 
 def write_sweep_csv(result: SweepResult, path) -> None:
-    """One CSV row per grid cell, row-major, shortest round-trip floats."""
+    """One CSV row per grid cell, row-major, shortest round-trip floats.
+
+    ``path`` may also be a file from :func:`_open_csv`.
+    """
     header = [result.axis_labels[0], result.axis_labels[1], "lambda", "product", "verdict"]
     rows, cols = result.factor.shape
     columns = [np.repeat(result.values1, cols), np.tile(result.values2, rows)]
@@ -225,6 +290,7 @@ def sweep_simulated(
 def write_simulated_csv(
     analytic: SweepResult, cells: list[SimulatedCell], path
 ) -> None:
+    """One CSV row per simulated cell; ``path`` may also be a file from :func:`_open_csv`."""
     header = [
         analytic.axis_labels[0],
         analytic.axis_labels[1],

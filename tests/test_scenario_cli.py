@@ -21,6 +21,7 @@ from remest.scenario import (
     load_scenario,
     parse_scenario_dict,
 )
+from remest.stability import verdict_for
 from remest.sweep import (
     apply_axes,
     compare_csi,
@@ -48,6 +49,14 @@ def per_cascade_sweep_scenario():
         {"state": 1, "frequency": 1, "min": 0.0, "max": 1.0},
         {"state": 6, "frequency": 2, "min": 0.2, "max": 0.7},
     ]
+    return parse_scenario_dict(data)
+
+
+def long_holding_scenario():
+    """Bundled scenario with holding periods up to 8 slots, so the sweep solves the kernel."""
+    data = bundled_dict()
+    data["channel"]["max_holding"] = 8
+    data["channel"]["holding_pmf"] = [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05]
     return parse_scenario_dict(data)
 
 
@@ -279,6 +288,34 @@ class TestSweep:
         write_sweep_csv(sweep_stability(loaded, grid=(7, 5)), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+        # holding periods of 8 slots: the kernel root is not the dense
+        # eigensolve's rounding, so it agrees to 1e-13 instead of bit for bit
+        long = long_holding_scenario()
+        res_l = sweep_stability(long, grid=(7, 5))
+        want = per_cell_sweep_factors(long, (7, 5))
+        np.testing.assert_allclose(res_l.factor, want, rtol=1e-13, atol=0.0)
+        assert np.array_equal(res_l.verdict, verdict_for(res_l.rho_max**2 * want))
+
+    def test_kernel_cells_do_not_depend_on_the_grid(self):
+        long = long_holding_scenario()
+        coarse = sweep_stability(long, grid=(5, 5))
+        fine = sweep_stability(long, grid=(9, 9))
+        assert np.array_equal(coarse.factor, fine.factor[::2, ::2])
+        assert coarse.factor[0, 0] == 0.0  # frequency 1 never drops at (0, 0)
+
+    def test_kernel_failure_falls_back_to_dense(self, monkeypatch):
+        long = long_holding_scenario()
+        real_eig = np.linalg.eig
+
+        def batched_fails(a):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", batched_fails)
+        res = sweep_stability(long, grid=(4, 3))
+        assert np.array_equal(res.factor, per_cell_sweep_factors(long, (4, 3)))
+
     def test_eigensolve_failure_falls_back_per_cell(self, monkeypatch):
         loaded = load_bundled_scenario()
         real_eigvals = np.linalg.eigvals
@@ -471,21 +508,45 @@ class TestCli:
         assert printed.encode() == comments[2]
 
     @pytest.mark.parametrize(
-        "argv",
+        "compute, argv",
         [
-            ["check", "--scenario", "{missing}/s.yaml"],
-            ["compare-csi", "--out", "{missing}/x.csv"],
-            ["sweep", "--grid", "2x2", "--out", "{missing}/x.csv"],
-            ["simulate", "--horizon", "50", "--seed", "1", "--trace", "{missing}/t.csv"],
+            ("evaluate_current_csi", ["check", "--scenario", "{missing}/s.yaml"]),
+            ("compare_csi", ["compare-csi", "--out", "{missing}/x.csv"]),
+            ("sweep_stability", ["sweep", "--grid", "2x2", "--out", "{missing}/x.csv"]),
+            ("run", ["simulate", "--horizon", "50", "--seed", "1", "--trace", "{missing}/t.csv"]),
+            ("run", ["simulate", "--horizon", "50", "--seed", "1", "--out", "{missing}/x.csv"]),
+            (
+                "sweep_simulated",
+                ["simulate", "--sweep-grid", "2x2", "--horizon", "50", "--out", "{missing}/x.csv"],
+            ),
+            (
+                "full_physics_run",
+                ["simulate", "--full-physics", "--horizon", "50", "--out", "{missing}/x.csv"],
+            ),
         ],
-        ids=["scenario", "compare-csi-out", "sweep-out", "trace"],
+        ids=[
+            "scenario", "compare-csi-out", "sweep-out", "trace",
+            "simulate-out", "simulate-sweep-grid-out", "full-physics-out",
+        ],
     )
-    def test_file_errors_exit_2_naming_the_path(self, argv, tmp_path, capsys):
+    def test_file_errors_exit_2_naming_the_path(self, compute, argv, tmp_path, monkeypatch, capsys):
+        """The error comes before any computation: the compute call must not run."""
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{compute} ran before its files were opened")
+
+        monkeypatch.setattr(f"remest.cli.{compute}", never)
         missing = tmp_path / "nope"
         assert main([a.format(missing=missing) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("file error: ") and err.count("\n") == 1
         assert str(missing) in err
+
+    def test_scenario_error_comes_before_output_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope"
+        argv = ["sweep", "--scenario", f"{missing}/s.yaml", "--out", f"{missing}/x.csv"]
+        assert main(argv) == 2
+        assert "s.yaml" in capsys.readouterr().err
 
     def test_simulate_sweep_grid(self, tmp_path):
         out = tmp_path / "simsweep.csv"

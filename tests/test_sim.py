@@ -257,6 +257,18 @@ class TestRun:
         lengths = summary.cycle_lengths[0]
         assert lengths.mean() == pytest.approx(1.0 / (1.0 - d), rel=0.01)
 
+    def test_total_cost_past_float_range_is_inf(self):
+        # 40 finite averages near 6e306 each: their sum overflows
+        a = 10 ** (308.4 / 80)
+        s = Scenario.build([scalar_process(a, index=i) for i in range(40)], bernoulli_channel(0.0))
+        summary = run(s, make_policy("round-robin", s), horizon=1000, seed=1)
+        assert np.all(np.isfinite(summary.avg_cost))
+        assert summary.total_cost == math.inf
+        assert math.isfinite(summary.log_total_cost)
+        ex = example_scenario()
+        finite = run(ex, make_policy("round-robin", ex), horizon=500, seed=1)
+        assert finite.total_cost == float(finite.avg_cost.sum())
+
     def test_checkpoint_equals_full_run_average(self):
         s = example_scenario()
         long = run(s, make_policy("persistent-serial", s), horizon=2000, seed=31,

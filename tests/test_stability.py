@@ -21,7 +21,8 @@ from remest import (
     greedy_selection,
     tuple_spectral_factor,
 )
-from remest.stability import BOUNDARY, STABLE, UNSTABLE, max_plant_spectral_radius
+from remest.stability import BOUNDARY, STABLE, UNSTABLE, _kernel_factors, max_plant_spectral_radius
+from remest.sweep import _chunk_factors
 
 from conftest import (
     bernoulli_channel,
@@ -307,6 +308,114 @@ CYCLE_MODELS = {
     "unreachable-states": _unreachable_holding,
     "slow-failure": _slow_failure,
 }
+
+
+def _drop_stack(rng, chain, cells: int = 6) -> np.ndarray:
+    """The chain's drop table and random rescalings of it, one per cell."""
+    scale = rng.uniform(0.2, 1.0, size=(cells, 1, 1))
+    scale[0] = 1.0
+    return chain.drops[None] * scale
+
+
+def _assert_kernel_matches_dense(chain, drops):
+    got = _kernel_factors(drops, chain.transition, chain.max_holding)
+    want = [eig_spectral_radius(d.min(axis=1)[:, None] * chain.transition) for d in drops]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    return got
+
+
+def _lossless_qualities(rng):
+    """Qualities 0 and 2 never drop, so the kernel has zero rows and is reducible."""
+    model = random_semi_markov(rng, levels=(2, 2), max_holding=6)
+    table = rng.uniform(0.1, 0.9, size=(4, 2))
+    table[[0, 2]] = 0.0
+    return replace(model, level_drops=None, state_drops=table)
+
+
+def _repeated_perron_root(rng):
+    """Lossless middle quality between two mirror-image ones: a double Perron root."""
+    return SemiMarkovChannelModel(
+        levels_per_frequency=(3,),
+        transition=[[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]],
+        holding_pmf=[0.3, 0.3, 0.2, 0.1, 0.1],
+        level_drops=((0.6, 0.0, 0.6),),
+    )
+
+
+def _per_cascade(rng):
+    """Drops that depend on the held time, not only on the quality state."""
+    model = random_semi_markov(rng, levels=(2, 2), max_holding=5)
+    return replace(model, level_drops=None, cascade_drops=rng.uniform(0.0, 1.0, size=(20, 2)))
+
+
+KERNEL_EDGE_MODELS = {
+    "unit-drops": lambda rng: replace(
+        random_semi_markov(rng, levels=(2, 2), max_holding=4), level_drops=((1.0, 1.0), (1.0, 1.0))
+    ),
+    "lossless-qualities": _lossless_qualities,
+    "repeated-perron-root": _repeated_perron_root,
+    "unreachable-states": _unreachable_holding,
+    "per-cascade-drops": _per_cascade,
+    "rows-at-tolerance": _rows_at_tolerance,
+}
+
+
+class TestKernelFactors:
+    """The m x m Markov-renewal kernel root against the dense cascaded eigensolve."""
+
+    @pytest.mark.parametrize("max_holding", [4, 6, 8])
+    @pytest.mark.parametrize("levels", [(2, 1), (2, 2), (3, 2)])
+    def test_random_chains_match_dense_eig(self, rng, levels, max_holding):
+        for _ in range(3):
+            model = random_semi_markov(rng, levels=levels, max_holding=max_holding, max_drop=0.95)
+            chain = build_cascaded_chain(model)
+            _assert_kernel_matches_dense(chain, _drop_stack(rng, chain))
+
+    @pytest.mark.parametrize("make", KERNEL_EDGE_MODELS.values(), ids=KERNEL_EDGE_MODELS)
+    def test_edge_chains_match_dense_eig(self, rng, make):
+        chain = build_cascaded_chain(make(rng))
+        got = _assert_kernel_matches_dense(chain, _drop_stack(rng, chain))
+        assert np.all(got > 0.0)
+
+    def test_zero_drops_give_exactly_zero(self, rng):
+        chain = build_cascaded_chain(random_semi_markov(rng, levels=(2, 2), max_holding=6))
+        drops = _drop_stack(rng, chain, cells=3)
+        drops[1] = 0.0  # an all-zero kernel between two ordinary cells
+        got = _kernel_factors(drops, chain.transition, chain.max_holding)
+        assert got[1] == 0.0 and np.all(got[[0, 2]] > 0.0)
+
+    def test_nilpotent_kernel_gives_exactly_zero(self):
+        # quality 1 never drops, quality 0 only ever jumps to 1: A(mu) is
+        # strictly upper triangular for every mu, although F is not zero
+        model = SemiMarkovChannelModel(
+            levels_per_frequency=(2,),
+            transition=[[0.0, 1.0], [0.5, 0.5]],
+            holding_pmf=[0.4, 0.3, 0.2, 0.1],
+            level_drops=((0.7, 0.0),),
+        )
+        chain = build_cascaded_chain(model)
+        assert _kernel_factors(chain.drops[None], chain.transition, chain.max_holding)[0] == 0.0
+
+    def test_overflowing_cell_is_nan_and_goes_dense(self):
+        # a near-certain success on entering each quality, then certain drops
+        # for the 6 or 7 slots still held: rho(A(1)) ~ 1e-60, and A overflows
+        # at the bracket's right end
+        model = SemiMarkovChannelModel(
+            levels_per_frequency=(2,),
+            transition=[[0.5, 0.5], [0.5, 0.5]],
+            holding_pmf=[0.0] * 6 + [0.5, 0.5],
+            cascade_drops=([[1e-60]] + [[1.0]] * 7) * 2,
+        )
+        chain = build_cascaded_chain(model)
+        drops = np.stack([np.full_like(chain.drops, 0.5), chain.drops, np.full_like(chain.drops, 0.7)])
+        got = _kernel_factors(drops, chain.transition, chain.max_holding)
+        assert np.isnan(got[1])
+        alone = [_kernel_factors(d[None], chain.transition, 8)[0] for d in drops[[0, 2]]]
+        assert np.array_equal(got[[0, 2]], alone)
+
+        swept = _chunk_factors(drops, chain, kernel=True)
+        assert np.array_equal(swept[[0, 2]], alone)
+        assert swept[1] == current_csi_factor(chain)[0] > 0.0
 
 
 class TestCycleChain:
