@@ -13,7 +13,9 @@ error covariance is the steady covariance pushed forward ``i`` times by
 
 and the estimation cost at age ``i`` is the trace of that matrix.  The cost
 grows like ``rho(A)^(2 i)`` for unstable plants, which is what links the
-age-of-information process to mean-square stability.
+age-of-information process to mean-square stability.  The steady covariance
+solves the filter's Riccati equation by doubling; its reported residual is
+the one-step residual of a final polishing filter step.
 """
 
 from __future__ import annotations
@@ -30,12 +32,7 @@ from .errors import DimensionMismatchError, NonConvergentError
 # float range; beyond this the log-scaled track takes over.
 _PLAIN_LIMIT = 1e250
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
-
-
-def _check_symmetric(x: np.ndarray, name: str, tol: float = 1e-9) -> None:
-    scale = max(1.0, float(np.max(np.abs(x))))
-    if np.max(np.abs(x - x.T)) > tol * scale:
-        raise ValueError(f"{name} must be symmetric")
+_MAX_DOUBLINGS = 64  # Kalman doublings before giving up: 2^64 filter steps
 
 
 def min_eigenvalue(x: np.ndarray) -> float:
@@ -59,11 +56,8 @@ class ProcessModel:
     index: int = 0
 
     def __post_init__(self):
-        """Check every value.
-
-        A shape error carries the offending matrix as ``field``; the symmetry
-        and definiteness errors name it in their message.
-        """
+        """Check every value; a shape error carries the offending matrix as
+        ``field``, and the symmetry and definiteness errors name it in their message."""
         for name in ("A", "C", "W", "Z"):
             object.__setattr__(self, name, _as_matrix(getattr(self, name), name))
         l, r = self.A.shape[0], self.C.shape[0]
@@ -71,8 +65,9 @@ class ProcessModel:
         _check_shape(self.C, (r, l), "C")
         _check_shape(self.W, (l, l), "W")
         _check_shape(self.Z, (r, r), "Z")
-        _check_symmetric(self.W, "W")
-        _check_symmetric(self.Z, "Z")
+        for name, x in (("W", self.W), ("Z", self.Z)):
+            if np.max(np.abs(x - x.T)) > 1e-9 * max(1.0, float(np.max(np.abs(x)))):
+                raise ValueError(f"{name} must be symmetric")
         scale_w = max(1.0, float(np.max(np.abs(self.W))))
         if min_eigenvalue(self.W) < -1e-12 * scale_w:
             raise ValueError("W must be positive semidefinite")
@@ -93,8 +88,8 @@ class SteadyStateKF:
     """Steady state of the local Kalman filter.
 
     ``covariance`` is the posterior error covariance fixed point, ``gain`` the
-    corresponding Kalman gain, and ``residual`` the final infinity-norm step
-    of the fixed-point iteration.
+    corresponding Kalman gain, and ``residual`` the infinity-norm one-step
+    residual of the polishing filter step that produced ``covariance``.
     """
 
     covariance: np.ndarray
@@ -102,9 +97,8 @@ class SteadyStateKF:
     residual: float
 
 
-def _kf_step(model: ProcessModel, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One predict/update pass; returns the next posterior covariance and gain."""
-    predicted = model.A @ p @ model.A.T + model.W
+def _update(model: ProcessModel, predicted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measurement update of a prior covariance; returns the posterior and the gain."""
     s = model.C @ predicted @ model.C.T + model.Z
     # gain = predicted C' inv(S); solve on the symmetric S instead of inverting
     gain = np.linalg.solve(s, model.C @ predicted).T
@@ -112,36 +106,44 @@ def _kf_step(model: ProcessModel, p: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (updated + updated.T) / 2.0, gain
 
 
-def steady_state_covariance(
-    model: ProcessModel, tol: float = 1e-12, max_iter: int = 10**6
-) -> SteadyStateKF:
-    """Fixed point of the local Kalman filter covariance recursion.
+def steady_state_covariance(model: ProcessModel, tol: float = 1e-12) -> SteadyStateKF:
+    """Fixed point of the local Kalman filter covariance recursion, by doubling.
 
-    Iterates the predict/update pair starting from W until the posterior
-    covariance moves less than ``tol`` in infinity norm.  Raises
-    :class:`NonConvergentError` if the budget runs out, which in practice
-    signals an undetectable or otherwise non-stabilizable (A, C) pair.
+    The structure-preserving doubling algorithm (Anderson & Moore, *Optimal
+    Filtering*, 1979; Lin & Xu, SIAM J. Matrix Anal. Appl. 28(1), 2006) runs on
+    ``(A_k, G_k, H_k)`` from ``(A', C' Z^-1 C, W)`` until ``H_k``, the prior
+    covariance after ``2^k`` filter steps, stops moving.  A measurement update
+    and one polishing filter step follow.  Divergence, no settling within
+    ``_MAX_DOUBLINGS`` doublings, or a polishing residual above ``tol`` raises
+    :class:`NonConvergentError`: in practice, (A, C) is undetectable.  The bound
+    scales with the step's predicted covariance beyond 1, as its rounding does.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    p = model.W.copy()
-    # divergence (undetectable modes) is caught via the isfinite check below,
-    # so the transient overflow it produces is not a reportable warning
+    l = model.state_dim
+    a, g, h = model.A.T, model.C.T @ np.linalg.solve(model.Z, model.C), model.W
+    # an undetectable mode overflows; ``settled`` reports it, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iter):
-            p_next, gain = _kf_step(model, p)
-            if not np.all(np.isfinite(p_next)):
-                raise NonConvergentError(
-                    "Kalman covariance iteration diverged; check detectability of (A, C)"
-                )
-            residual = float(np.max(np.abs(p_next - p)))
-            p = p_next
-            if residual <= tol:
-                return SteadyStateKF(covariance=p, gain=gain, residual=residual)
-    raise NonConvergentError(
-        f"Kalman covariance iteration did not reach tol={tol} in {max_iter} steps "
-        f"(last step {residual:.3e}); check detectability of (A, C)"
-    )
+        for k in range(_MAX_DOUBLINGS):
+            x = np.linalg.solve(np.eye(l) + g @ h, np.hstack([a, g]))  # (I + G H)^-1 [A, G]
+            g_next, h_next = g + a @ x[:, l:] @ a.T, h + a.T @ h @ x[:, :l]
+            a, g, h_next = a @ x[:, :l], (g_next + g_next.T) / 2.0, (h_next + h_next.T) / 2.0
+            moved, h = float(np.max(np.abs(h_next - h))), h_next
+            settled = moved <= 1e-15 * float(np.max(np.abs(h))) < math.inf
+            if settled or not math.isfinite(moved):
+                break
+    if not settled:
+        raise NonConvergentError(
+            f"Kalman covariance doubling did not settle in {k + 1} doublings (last move "
+            f"{moved:.3e}); check detectability of (A, C)"
+        )
+    p, _ = _update(model, h)
+    predicted = model.A @ p @ model.A.T + model.W  # the polishing step
+    p_next, gain = _update(model, predicted)
+    residual = float(np.max(np.abs(p_next - p)))
+    if not residual <= tol * max(1.0, float(np.max(np.abs(predicted)))):
+        raise NonConvergentError(f"Kalman one-step residual {residual:.3e} exceeds tol={tol}")
+    return SteadyStateKF(covariance=p_next, gain=gain, residual=residual)
 
 
 def propagate_covariance(model: ProcessModel, x, steps: int = 1) -> np.ndarray:
@@ -197,9 +199,7 @@ class CostFunction:
 
     def __init__(self, model: ProcessModel, kf: SteadyStateKF | None = None):
         self.model = model
-        if kf is None:
-            kf = steady_state_covariance(model)
-        self.kf = kf
+        self.kf = kf = steady_state_covariance(model) if kf is None else kf
         self.steady_covariance = kf.covariance
         self.plant_spectral_radius = spectral_radius(model.A)
         trace0 = float(np.trace(kf.covariance))

@@ -73,17 +73,18 @@ _KERNEL_MAX_STEPS = 100  # bisecting a bracket of width 750 to four ulps takes 6
 STABLE = "stable"
 UNSTABLE = "unstable"
 BOUNDARY = "boundary"
+BOUNDARY_BAND = 1e-9  # products this close to 1 get the boundary verdict
 
 
-def verdict_for(product, tol_boundary: float = 1e-9):
+def verdict_for(product):
     """Verdict string for a product ``rho_max**2 * factor``, or an object array of them.
 
-    Products within ``tol_boundary`` of 1 are the boundary band; below it
+    Products within ``BOUNDARY_BAND`` of 1 are the boundary band; below it
     stable, above it (or NaN) unstable.  A scalar input gives a ``str``.
     """
     p = np.asarray(product, dtype=float)
     out = np.where(p < 1.0, STABLE, UNSTABLE).astype(object)
-    out[np.abs(p - 1.0) <= tol_boundary] = BOUNDARY
+    out[np.abs(p - 1.0) <= BOUNDARY_BAND] = BOUNDARY
     return out if out.ndim else out[()]
 
 
@@ -108,7 +109,7 @@ class StabilityReport:
 
     ``factor`` is the channel spectral factor (lambda for current CSI,
     lambda_L for delayed), ``product`` is ``rho_max**2 * factor`` and the
-    verdict compares it against 1 with a symmetric boundary band.
+    verdict compares it against 1 with the symmetric ``BOUNDARY_BAND``.
     """
 
     rho_max: float
@@ -119,10 +120,9 @@ class StabilityReport:
     csi_mode: str
     dominant_process: int
     horizon: int | None = None
-    tol_boundary: float = 1e-9
 
 
-def _report(plant, factor: float, selection, csi_mode: str, tol_boundary: float, horizon=None):
+def _report(plant, factor: float, selection, csi_mode: str, horizon=None):
     """The report of a channel factor against ``plant = (rho_max, dominant process)``."""
     rho_max, dominant = plant
     product = rho_max**2 * factor
@@ -130,12 +130,11 @@ def _report(plant, factor: float, selection, csi_mode: str, tol_boundary: float,
         rho_max=rho_max,
         factor=factor,
         product=product,
-        verdict=verdict_for(product, tol_boundary),
+        verdict=verdict_for(product),
         selection=selection,
         csi_mode=csi_mode,
         dominant_process=dominant,
         horizon=horizon,
-        tol_boundary=tol_boundary,
     )
 
 
@@ -240,12 +239,10 @@ def current_csi_factor(chain: CascadedChain) -> tuple[float, np.ndarray]:
     return float(_greedy_factors(chain.drops, chain.transition)), greedy_selection(chain)
 
 
-def evaluate_current_csi(
-    processes, chain: CascadedChain, tol_boundary: float = 1e-9
-) -> StabilityReport:
+def evaluate_current_csi(processes, chain: CascadedChain) -> StabilityReport:
     """Necessary-and-sufficient stability test under current CSI."""
     plant = max_plant_spectral_radius(processes)
-    return _report(plant, *current_csi_factor(chain), "current", tol_boundary)
+    return _report(plant, *current_csi_factor(chain), "current")
 
 
 def delayed_failure_matrix(chain: CascadedChain, selection) -> np.ndarray:
@@ -315,15 +312,10 @@ def delayed_csi_factor(
     )
 
 
-def evaluate_delayed_csi(
-    processes,
-    chain: CascadedChain,
-    horizon: int,
-    tol_boundary: float = 1e-9,
-) -> StabilityReport:
+def evaluate_delayed_csi(processes, chain: CascadedChain, horizon: int) -> StabilityReport:
     """Stability test under one-step-delayed CSI at a fixed tuple length."""
     plant = max_plant_spectral_radius(processes)
-    return _report(plant, *delayed_csi_factor(chain, horizon), "delayed", tol_boundary, horizon)
+    return _report(plant, *delayed_csi_factor(chain, horizon), "delayed", horizon)
 
 
 @dataclass(frozen=True)

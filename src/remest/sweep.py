@@ -75,14 +75,19 @@ def _axis_masks(scenario: Scenario, axes: tuple[AxisSpec, AxisSpec]) -> list[np.
     ]
 
 
+def _cell_drops(drops: np.ndarray, masks, values1: np.ndarray, values2: np.ndarray) -> np.ndarray:
+    """One copy of ``drops`` per cell, each axis mask set to the cell's value (axis 2 wins)."""
+    first = np.where(masks[0], values1[:, None, None], drops)
+    return np.where(masks[1], values2[:, None, None], first)
+
+
 def apply_axes(
     scenario: Scenario, axes: tuple[AxisSpec, AxisSpec], values: tuple[float, float]
 ) -> CascadedChain:
-    """The scenario's cascaded chain with the axis drop entries overridden."""
-    drops = scenario.chain.drops.copy()
-    for mask, v in zip(_axis_masks(scenario, axes), values):
-        drops[mask] = float(v)
-    return scenario.chain.with_drops(drops)
+    """The scenario's cascaded chain with the axis drop entries overridden: one cell."""
+    v1, v2 = np.array([values], dtype=float).T
+    drops = _cell_drops(scenario.chain.drops, _axis_masks(scenario, axes), v1, v2)
+    return scenario.chain.with_drops(drops[0])
 
 
 def _chunk_factors(drops: np.ndarray, chain: CascadedChain, kernel: bool) -> np.ndarray:
@@ -127,11 +132,7 @@ class SweepResult:
         return self.verdict == STABLE
 
 
-def sweep_stability(
-    loaded: LoadedScenario,
-    grid: tuple[int, int] | None = None,
-    tol_boundary: float = 1e-9,
-) -> SweepResult:
+def sweep_stability(loaded: LoadedScenario, grid: tuple[int, int] | None = None) -> SweepResult:
     """Evaluate the current-CSI test over the scenario's sweep grid.
 
     The cells' drop tables go to the greedy failure step in chunks.  Below
@@ -139,6 +140,7 @@ def sweep_stability(
     its overridden chain bit for bit (see ``stability._greedy_factors``); from
     it on, the kernel root agrees with that factor to about 1e-14 relative,
     and a cell's bits depend on its own drop table alone, not on the grid.
+    Verdicts use ``stability.BOUNDARY_BAND``.
     """
     if loaded.sweep is None:
         raise ScenarioValidationError("scenario has no sweep section", "sweep")
@@ -151,7 +153,7 @@ def sweep_stability(
     _check_probabilities(np.concatenate([values1, values2]), "sweep axis values")
     scenario = loaded.scenario
     rho_max, _ = max_plant_spectral_radius(scenario.processes)
-    mask1, mask2 = _axis_masks(scenario, spec.axes)
+    masks = _axis_masks(scenario, spec.axes)
     chain = scenario.chain
 
     cell_v1 = np.repeat(values1, cols)
@@ -163,9 +165,7 @@ def sweep_stability(
     chunk = max(1, _CHUNK_BYTES // (cell_bytes if kernel else chain.transition.nbytes))
     for lo in range(0, factor.size, chunk):
         part = slice(lo, lo + chunk)
-        drops = np.repeat(chain.drops[None], cell_v1[part].size, axis=0)
-        drops[:, mask1] = cell_v1[part, None]
-        drops[:, mask2] = cell_v2[part, None]
+        drops = _cell_drops(chain.drops, masks, cell_v1[part], cell_v2[part])
         factor[part] = _chunk_factors(drops, chain, kernel)
     factor = factor.reshape(rows, cols)
 
@@ -177,7 +177,7 @@ def sweep_stability(
         rho_max=rho_max,
         factor=factor,
         product=product,
-        verdict=verdict_for(product, tol_boundary),
+        verdict=verdict_for(product),
         scenario_sha256=loaded.sha256,
     )
 
@@ -325,15 +325,13 @@ class CsiComparisonRow:
     verdict: str
 
 
-def compare_csi(
-    loaded: LoadedScenario, l_max: int, tol_boundary: float = 1e-9
-) -> list[CsiComparisonRow]:
-    """Tabulate the current-CSI factor against delayed-CSI factors for L = 1..l_max."""
+def compare_csi(loaded: LoadedScenario, l_max: int) -> list[CsiComparisonRow]:
+    """The current-CSI row, then delayed-CSI rows for L = 1..l_max (``BOUNDARY_BAND`` verdicts)."""
     chain = loaded.scenario.chain
     plant = max_plant_spectral_radius(loaded.scenario.processes)
-    reports = [_report(plant, *current_csi_factor(chain), "current", tol_boundary)]
+    reports = [_report(plant, *current_csi_factor(chain), "current")]
     for el in range(1, l_max + 1):
-        reports.append(_report(plant, *delayed_csi_factor(chain, el), "delayed", tol_boundary, el))
+        reports.append(_report(plant, *delayed_csi_factor(chain, el), "delayed", el))
     return [
         CsiComparisonRow(
             csi_mode=r.csi_mode,

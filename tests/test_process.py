@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -84,7 +85,38 @@ class TestSteadyStateCovariance:
             A=np.diag([0.5, 2.0]), C=[[1.0, 0.0]], W=np.eye(2), Z=[[1.0]]
         )
         with pytest.raises(NonConvergentError):
-            steady_state_covariance(model, max_iter=5000)
+            steady_state_covariance(model)
+
+    def test_marginal_unobservable_mode_raises_fast(self):
+        # the invisible mode neither grows nor settles: its covariance gains W every step
+        model = ProcessModel(A=np.diag([0.5, 1.0]), C=[[1.0, 0.0]], W=np.eye(2), Z=[[1.0]])
+        start = time.perf_counter()
+        with pytest.raises(NonConvergentError, match="did not settle"):
+            steady_state_covariance(model)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("q", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+    def test_random_walk_matches_closed_form(self, q):
+        # A = C = Z = 1: the prior solves S^2 = q (S + 1), and the posterior is S / (1 + S)
+        kf = steady_state_covariance(scalar_process(1.0, w=q))
+        prior = (q + math.sqrt(q * q + 4.0 * q)) / 2.0
+        assert kf.covariance[0, 0] == pytest.approx(prior / (1.0 + prior), rel=1e-12, abs=0.0)
+        assert kf.residual <= 1e-12
+
+    def test_random_detectable_plants_match_long_oracle(self, rng):
+        for _ in range(20):
+            raw = rng.normal(size=(2, 2))
+            a = raw * float(rng.uniform(0.3, 1.6)) / eig_spectral_radius(raw)
+            lw = rng.normal(size=(2, 2))
+            model = ProcessModel(
+                A=a,
+                C=rng.normal(size=(1, 2)),
+                W=lw @ lw.T + 0.1 * np.eye(2),
+                Z=[[float(rng.uniform(0.2, 2.0))]],
+            )
+            kf = steady_state_covariance(model)
+            want = long_fixed_point_covariance(model.A, model.C, model.W, model.Z)
+            assert np.max(np.abs(kf.covariance - want)) <= 1e-10 * max(1.0, np.max(np.abs(want)))
 
     def test_gain_reconstructs_update(self):
         kf = steady_state_covariance(scalar_process(1.5))

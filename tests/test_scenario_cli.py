@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import fields
 
 import numpy as np
@@ -233,6 +234,21 @@ class TestPathContract:
         p.write_text(yaml.safe_dump(data))
         assert main(["validate", "--scenario", str(p)]) == 2
         assert f"scenario error: {path}: " in capsys.readouterr().err
+
+    def test_marginal_unobservable_plant_fails_fast_at_its_path(self, tmp_path, capsys):
+        data = bundled_dict()
+        # the second mode is invisible to the sensor and marginally stable
+        a, eye = [[0.5, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]
+        data["processes"][0] = {"A": a, "C": [[1.0, 0.0]], "W": eye, "Z": [[1.0]]}
+        start = time.perf_counter()
+        with pytest.raises(ScenarioValidationError) as exc:
+            parse_scenario_dict(data)
+        assert exc.value.path == "processes[0]"
+        p = tmp_path / "marginal.yaml"
+        p.write_text(yaml.safe_dump(data))
+        assert main(["validate", "--scenario", str(p)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "scenario error: processes[0]: Kalman" in capsys.readouterr().err
 
     def test_every_model_field_has_a_path(self):
         inputs = {f.name for model in (SemiMarkovChannelModel, ProcessModel) for f in fields(model)}

@@ -21,7 +21,8 @@ from remest import (
     greedy_selection,
     tuple_spectral_factor,
 )
-from remest.stability import BOUNDARY, STABLE, UNSTABLE, _kernel_factors, max_plant_spectral_radius
+from remest.stability import BOUNDARY, BOUNDARY_BAND, STABLE, UNSTABLE, _kernel_factors
+from remest.stability import max_plant_spectral_radius, verdict_for
 from remest.sweep import _chunk_factors
 
 from conftest import (
@@ -107,6 +108,11 @@ class TestCurrentCsi:
         report = evaluate_current_csi([scalar_process(math.sqrt(2.0))], chain)
         assert report.product == pytest.approx(1.0, abs=1e-12)
         assert report.verdict == BOUNDARY
+
+    def test_boundary_band_edges(self):
+        band = BOUNDARY_BAND
+        products = [1.0 - 2 * band, 1.0 - band / 2, 1.0 + band / 2, 1.0 + 2 * band, math.nan]
+        assert verdict_for(products).tolist() == [STABLE, BOUNDARY, BOUNDARY, UNSTABLE, UNSTABLE]
 
     def test_monotone_in_drop_probabilities(self, rng):
         for _ in range(20):
