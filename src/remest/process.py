@@ -106,6 +106,23 @@ def _update(model: ProcessModel, predicted: np.ndarray) -> tuple[np.ndarray, np.
     return (updated + updated.T) / 2.0, gain
 
 
+def _divergence_cause(model: ProcessModel) -> str:
+    """The mode with |z| >= 1 that (A, C) or (A, W^1/2) misses, by the PBH rank test at z.
+
+    ``[A - z I, W]`` has the range of ``[A - z I, W^1/2]``.
+    """
+    eye, unstable = np.eye(model.state_dim), [z for z in np.linalg.eigvals(model.A) if abs(z) >= 1]
+    for a, b, cause in (
+        (model.A.T, model.C.T, "is unobserved: (A, C) is not detectable"),
+        (model.A, model.W, "gets no process noise: (A, W^1/2) is not stabilizable"),
+    ):
+        for z in unstable:
+            s = np.linalg.svd(np.hstack([a - z * eye, b]), compute_uv=False)
+            if s[-1] <= 1e-9 * s[0]:
+                return f"the mode of A at eigenvalue {z:.6g} {cause}"
+    return "no mode of A on or outside the unit circle is unobserved or noiseless"
+
+
 def steady_state_covariance(model: ProcessModel, tol: float = 1e-12) -> SteadyStateKF:
     """Fixed point of the local Kalman filter covariance recursion, by doubling.
 
@@ -115,8 +132,8 @@ def steady_state_covariance(model: ProcessModel, tol: float = 1e-12) -> SteadySt
     covariance after ``2^k`` filter steps, stops moving.  A measurement update
     and one polishing filter step follow.  Divergence, no settling within
     ``_MAX_DOUBLINGS`` doublings, or a polishing residual above ``tol`` raises
-    :class:`NonConvergentError`: in practice, (A, C) is undetectable.  The bound
-    scales with the step's predicted covariance beyond 1, as its rounding does.
+    :class:`NonConvergentError`, which names the mode at fault if doubling failed.
+    The bound scales with the step's predicted covariance beyond 1, as its rounding does.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -135,7 +152,7 @@ def steady_state_covariance(model: ProcessModel, tol: float = 1e-12) -> SteadySt
     if not settled:
         raise NonConvergentError(
             f"Kalman covariance doubling did not settle in {k + 1} doublings (last move "
-            f"{moved:.3e}); check detectability of (A, C)"
+            f"{moved:.3e}); {_divergence_cause(model)}"
         )
     p, _ = _update(model, h)
     predicted = model.A @ p @ model.A.T + model.W  # the polishing step

@@ -25,8 +25,8 @@ property of positive matrices", Quart. J. Math. 12, 1961) with slope in
 [1, D], and Newton's method on f finds ``t = -log lambda`` monotonically.
 The recursion uses elementwise products only: it never forms mu^D, which
 overflows when lambda is small, and it does not assume that rows sum to 1.
-Sweeps of long-holding chains use this form (``_kernel_factors``); single
-chains use the dense eigensolve (``_greedy_factors``).
+Every current-CSI factor, of a chain or of a sweep cell, uses this form from
+``_KERNEL_MIN_HOLDING`` on and the dense eigensolve below it (``_stack_factors``).
 
 With one-step-delayed information the same test uses
 
@@ -188,7 +188,7 @@ def _kernel_factors(drops: np.ndarray, transition: np.ndarray, max_holding: int)
     0.  A cell whose kernel passes the float range (``rho(A(1))`` below about
     e^-88 at D = 8), or that has not settled after ``_KERNEL_MAX_STEPS``
     steps, gives NaN, and a failed ``eig`` or ``inv`` raises
-    ``np.linalg.LinAlgError``; callers compute those cells by
+    ``np.linalg.LinAlgError``; :func:`_stack_factors` computes those cells by
     :func:`_greedy_factors`.
     """
     m = transition.shape[0] // max_holding
@@ -234,9 +234,44 @@ def _kernel_factors(drops: np.ndarray, transition: np.ndarray, max_holding: int)
     return factor
 
 
+# Chains whose holding period reaches this many slots solve the m x m kernel
+# instead of the mD x mD cascaded eigenproblem.  Measured crossover, dense time
+# over kernel time for a 441-cell sweep of random chains, then for one chain
+# (2 vCPUs, one BLAS thread, numpy 2.4):
+#     m \ D     2     3     4     5     6     8    |    5     6     8    12
+#      2      0.25  0.39  0.68  1.03  1.02  1.68   |  0.05  0.06  0.07  0.08
+#      3      0.21  0.39  0.60  1.03  1.28  2.09   |  0.07  0.08  0.13  0.21
+#      4      0.22  0.49  0.69  1.17  1.87  2.47   |  0.10  0.13  0.18  0.29
+#      6      0.24  0.52  0.87  1.28  2.00  3.99   |  0.18  0.26  0.46  0.56
+#      8      0.30  0.53  0.93  1.57  2.37  3.66   |  0.38  0.47  0.78  2.25
+#     12      0.29  0.65  1.17  2.09  2.58  6.50   |  0.63  0.81  1.85  3.63
+#     16      0.33  0.78  1.49  2.85  4.29  7.79   |  1.32  1.62  3.20  6.87
+# From D = 5 a sweep never loses; one small chain does, by up to about
+# 1.7 ms, and in return a chain and its sweep cell get the same bits.
+_KERNEL_MIN_HOLDING = 5
+
+
+def _stack_factors(drops: np.ndarray, chain: CascadedChain) -> np.ndarray:
+    """Greedy factors ``rho(V(v*) T)`` of a stack of drop tables on ``chain``'s transitions.
+
+    By :func:`_kernel_factors` from ``_KERNEL_MIN_HOLDING`` on, whatever the stack's size;
+    by :func:`_greedy_factors` below it, and for the cells the kernel leaves NaN or raises on.
+    """
+    if chain.max_holding < _KERNEL_MIN_HOLDING:
+        return _greedy_factors(drops, chain.transition)
+    try:
+        factor = _kernel_factors(drops, chain.transition, chain.max_holding)
+    except np.linalg.LinAlgError:
+        return _greedy_factors(drops, chain.transition)
+    unsettled = np.isnan(factor)
+    if unsettled.any():
+        factor[unsettled] = _greedy_factors(drops[unsettled], chain.transition)
+    return factor
+
+
 def current_csi_factor(chain: CascadedChain) -> tuple[float, np.ndarray]:
     """Spectral factor and greedy selection for the current-CSI test."""
-    return float(_greedy_factors(chain.drops, chain.transition)), greedy_selection(chain)
+    return float(_stack_factors(chain.drops[None], chain)[0]), greedy_selection(chain)
 
 
 def evaluate_current_csi(processes, chain: CascadedChain) -> StabilityReport:
@@ -351,7 +386,7 @@ def cycle_chain(chain: CascadedChain, tol_tail: float = 1e-12) -> CycleAnalysis:
     min_drop = chain.drops.min(axis=1)
     fail = min_drop[:, None] * chain.transition  # V(v*) T, bit for bit
     success = (1.0 - min_drop)[:, None] * chain.transition  # (I - V(v*)) T
-    rho_fail = float(_greedy_factors(chain.drops, chain.transition))
+    rho_fail = float(_stack_factors(chain.drops[None], chain)[0])
     if rho_fail >= 1.0:
         raise DivergentSeriesError(
             f"failure-step spectral radius {rho_fail} >= 1; cycle statistics undefined"

@@ -4,13 +4,11 @@ A sweep scans two drop-table entries over a grid and evaluates the
 current-CSI stability test in every cell; the stable cells form the
 stability region.  Each axis is a boolean mask over the cascaded drop
 table, and the cells go through the greedy failure step in chunks of about
-256 KiB, so memory stays bounded on any grid.  A chain whose holding period
-reaches ``_KERNEL_MIN_HOLDING`` slots gets each cell's factor from the
-m x m Markov-renewal kernel of its quality states (``stability._kernel_factors``),
-as the root of ``rho(A(1/lambda)) = 1``; a chain with shorter holding periods
-stacks the cells' mD x mD cascaded failure matrices into batched
-eigensolves (``stability._greedy_factors``), and so do the kernel cells that
-cannot settle.
+256 KiB, so memory stays bounded on any grid.  Each chunk goes through
+``stability._stack_factors``, as ``current_csi_factor`` does: from a holding
+period of ``stability._KERNEL_MIN_HOLDING`` slots on, the m x m Markov-renewal
+kernel of the quality states, below it batched eigensolves of the mD x mD
+cascaded failure matrices.  A cell's factor is that of its chain, bit for bit.
 
 Output files are plain CSV with two leading comment lines (tool version and
 scenario hash) and are byte-identical across reruns of the same inputs, so
@@ -32,27 +30,11 @@ from .channel import CascadedChain, _check_probabilities
 from .errors import ScenarioValidationError
 from .scenario import AxisSpec, LoadedScenario, SweepSpec
 from .sim import Scenario, _run_cells, make_policy
-from .stability import STABLE, _greedy_factors, _kernel_factors, _report, current_csi_factor
+from .stability import STABLE, _report, _stack_factors, current_csi_factor
 from .stability import delayed_csi_factor
 from .stability import max_plant_spectral_radius, verdict_for
 
 _CHUNK_BYTES = 1 << 18  # bytes per chunk of cells: failure matrices or kernel arrays
-# Sweeps of chains whose holding period reaches this many slots solve the
-# m x m kernel instead of the mD x mD cascaded eigenproblem.  Measured
-# crossover, dense time over kernel time for a 441-cell sweep of random
-# chains (2 vCPUs, one BLAS thread, numpy 2.4):
-#
-#     m \ D     2     3     4     5     6     8
-#      2      0.25  0.39  0.68  1.03  1.02  1.68
-#      3      0.21  0.39  0.60  1.03  1.28  2.09
-#      4      0.22  0.49  0.69  1.17  1.87  2.47
-#      6      0.24  0.52  0.87  1.28  2.00  3.99
-#      8      0.30  0.53  0.93  1.57  2.37  3.66
-#     12      0.29  0.65  1.17  2.09  2.58  6.50
-#     16      0.33  0.78  1.49  2.85  4.29  7.79
-#
-# From D = 5 the kernel is never slower; at D = 4 it wins only from m = 12.
-_KERNEL_MIN_HOLDING = 5
 _CSV_BLOCK = 4096  # sweep rows formatted per write, so memory stays flat
 
 
@@ -90,24 +72,6 @@ def apply_axes(
     return scenario.chain.with_drops(drops[0])
 
 
-def _chunk_factors(drops: np.ndarray, chain: CascadedChain, kernel: bool) -> np.ndarray:
-    """Greedy factors of a chunk of cells, by the kernel or by the dense eigensolve.
-
-    The cells the kernel leaves as NaN, and a whole chunk whose kernel solve
-    raises ``LinAlgError``, go through the dense path.
-    """
-    if not kernel:
-        return _greedy_factors(drops, chain.transition)
-    try:
-        factor = _kernel_factors(drops, chain.transition, chain.max_holding)
-    except np.linalg.LinAlgError:
-        return _greedy_factors(drops, chain.transition)
-    unsettled = np.isnan(factor)
-    if unsettled.any():
-        factor[unsettled] = _greedy_factors(drops[unsettled], chain.transition)
-    return factor
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """Grid of stability evaluations.
@@ -135,12 +99,9 @@ class SweepResult:
 def sweep_stability(loaded: LoadedScenario, grid: tuple[int, int] | None = None) -> SweepResult:
     """Evaluate the current-CSI test over the scenario's sweep grid.
 
-    The cells' drop tables go to the greedy failure step in chunks.  Below
-    ``_KERNEL_MIN_HOLDING`` every cell's factor is ``current_csi_factor`` of
-    its overridden chain bit for bit (see ``stability._greedy_factors``); from
-    it on, the kernel root agrees with that factor to about 1e-14 relative,
-    and a cell's bits depend on its own drop table alone, not on the grid.
-    Verdicts use ``stability.BOUNDARY_BAND``.
+    The cells' drop tables go through ``stability._stack_factors`` in chunks,
+    so every cell's factor is ``current_csi_factor`` of its overridden chain,
+    bit for bit.  Verdicts use ``stability.BOUNDARY_BAND``.
     """
     if loaded.sweep is None:
         raise ScenarioValidationError("scenario has no sweep section", "sweep")
@@ -159,14 +120,13 @@ def sweep_stability(loaded: LoadedScenario, grid: tuple[int, int] | None = None)
     cell_v1 = np.repeat(values1, cols)
     cell_v2 = np.tile(values2, rows)
     factor = np.empty(rows * cols)
-    kernel = chain.max_holding >= _KERNEL_MIN_HOLDING
-    # a kernel cell holds its drop table and about eight complex m x m arrays
-    cell_bytes = chain.drops.nbytes + 128 * chain.num_quality_states**2
-    chunk = max(1, _CHUNK_BYTES // (cell_bytes if kernel else chain.transition.nbytes))
+    # a cell holds its drop table and about eight complex m x m kernel arrays,
+    # or below D = 5 its mD x mD failure matrix, which is no larger
+    chunk = max(1, _CHUNK_BYTES // (chain.drops.nbytes + 128 * chain.num_quality_states**2))
     for lo in range(0, factor.size, chunk):
         part = slice(lo, lo + chunk)
         drops = _cell_drops(chain.drops, masks, cell_v1[part], cell_v2[part])
-        factor[part] = _chunk_factors(drops, chain, kernel)
+        factor[part] = _stack_factors(drops, chain)
     factor = factor.reshape(rows, cols)
 
     product = rho_max**2 * factor

@@ -84,14 +84,23 @@ class TestSteadyStateCovariance:
         model = ProcessModel(
             A=np.diag([0.5, 2.0]), C=[[1.0, 0.0]], W=np.eye(2), Z=[[1.0]]
         )
-        with pytest.raises(NonConvergentError):
+        with pytest.raises(NonConvergentError, match="eigenvalue 2 is unobserved"):
             steady_state_covariance(model)
+
+    def test_noiseless_unstable_mode_is_named(self):
+        # (A, C) is detectable: the fault is the unstable mode that W never excites
+        model = ProcessModel(
+            A=np.diag([2.0, 0.999]), C=[[1.0, 1.0]], W=np.diag([0.0, 1e-4]), Z=[[1.0]]
+        )
+        with pytest.raises(NonConvergentError, match="eigenvalue 2 gets no process noise") as err:
+            steady_state_covariance(model)
+        assert "not detectable" not in str(err.value)
 
     def test_marginal_unobservable_mode_raises_fast(self):
         # the invisible mode neither grows nor settles: its covariance gains W every step
         model = ProcessModel(A=np.diag([0.5, 1.0]), C=[[1.0, 0.0]], W=np.eye(2), Z=[[1.0]])
         start = time.perf_counter()
-        with pytest.raises(NonConvergentError, match="did not settle"):
+        with pytest.raises(NonConvergentError, match="did not settle.*eigenvalue 1 is unobserved"):
             steady_state_covariance(model)
         assert time.perf_counter() - start < 1.0
 

@@ -304,12 +304,12 @@ class TestSweep:
         write_sweep_csv(sweep_stability(loaded, grid=(7, 5)), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-        # holding periods of 8 slots: the kernel root is not the dense
-        # eigensolve's rounding, so it agrees to 1e-13 instead of bit for bit
+        # holding periods of 8 slots: the sweep and the single chain both
+        # solve the kernel, so they agree bit for bit on that path too
         long = long_holding_scenario()
         res_l = sweep_stability(long, grid=(7, 5))
         want = per_cell_sweep_factors(long, (7, 5))
-        np.testing.assert_allclose(res_l.factor, want, rtol=1e-13, atol=0.0)
+        assert np.array_equal(res_l.factor, want)
         assert np.array_equal(res_l.verdict, verdict_for(res_l.rho_max**2 * want))
 
     def test_kernel_cells_do_not_depend_on_the_grid(self):

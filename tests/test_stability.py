@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from remest import stability
 from remest import (
     DivergentSeriesError,
     NonConvergentError,
@@ -22,8 +23,8 @@ from remest import (
     tuple_spectral_factor,
 )
 from remest.stability import BOUNDARY, BOUNDARY_BAND, STABLE, UNSTABLE, _kernel_factors
-from remest.stability import max_plant_spectral_radius, verdict_for
-from remest.sweep import _chunk_factors
+from remest.stability import _greedy_factors, _stack_factors, max_plant_spectral_radius
+from remest.stability import verdict_for
 
 from conftest import (
     bernoulli_channel,
@@ -277,9 +278,9 @@ class TestDelayedCsiFactor:
         assert report.product == pytest.approx(report.rho_max**2 * report.factor)
 
 
-def _rows_at_tolerance(rng):
+def _rows_at_tolerance(rng, max_holding=6):
     """Transition and holding rows scaled off a unit sum by 9e-7, inside the 1e-6 tolerance."""
-    model = random_semi_markov(rng, levels=(2, 2), max_holding=6, max_drop=0.9)
+    model = random_semi_markov(rng, levels=(2, 2), max_holding=max_holding, max_drop=0.9)
     scale = 1.0 + rng.choice([-9e-7, 9e-7], size=(2, 4, 1))
     return replace(
         model,
@@ -288,12 +289,12 @@ def _rows_at_tolerance(rng):
     )
 
 
-def _unreachable_holding(rng):
+def _unreachable_holding(rng, max_holding=6):
     """Holding pmfs with zero tails, so some cascaded states are never entered."""
-    model = random_semi_markov(rng, levels=(2, 2), max_holding=6, max_drop=0.9)
+    model = random_semi_markov(rng, levels=(2, 2), max_holding=max_holding, max_drop=0.9)
     pmf = np.array(model.holding_pmf)
     pmf[0, 3:] = 0.0
-    pmf[2, 5] = 0.0
+    pmf[2, max_holding - 1] = 0.0
     return replace(model, holding_pmf=pmf / pmf.sum(axis=1, keepdims=True))
 
 
@@ -330,9 +331,9 @@ def _assert_kernel_matches_dense(chain, drops):
     return got
 
 
-def _lossless_qualities(rng):
+def _lossless_qualities(rng, max_holding=6):
     """Qualities 0 and 2 never drop, so the kernel has zero rows and is reducible."""
-    model = random_semi_markov(rng, levels=(2, 2), max_holding=6)
+    model = random_semi_markov(rng, levels=(2, 2), max_holding=max_holding)
     table = rng.uniform(0.1, 0.9, size=(4, 2))
     table[[0, 2]] = 0.0
     return replace(model, level_drops=None, state_drops=table)
@@ -419,9 +420,68 @@ class TestKernelFactors:
         alone = [_kernel_factors(d[None], chain.transition, 8)[0] for d in drops[[0, 2]]]
         assert np.array_equal(got[[0, 2]], alone)
 
-        swept = _chunk_factors(drops, chain, kernel=True)
+        swept = _stack_factors(drops, chain)
         assert np.array_equal(swept[[0, 2]], alone)
         assert swept[1] == current_csi_factor(chain)[0] > 0.0
+
+
+def _lossless_frequency(rng, max_holding):
+    """Frequency 1 never drops in any state, so the greedy factor is exactly 0."""
+    model = random_semi_markov(rng, levels=(2, 2), max_holding=max_holding, max_drop=0.9)
+    return replace(model, level_drops=((0.0, 0.0), model.level_drops[1]))
+
+
+SINGLE_KERNEL_MODELS = {
+    "random-2x2": lambda rng, d: random_semi_markov(rng, levels=(2, 2), max_holding=d, max_drop=0.9),
+    "random-3x2": lambda rng, d: random_semi_markov(rng, levels=(3, 2), max_holding=d, max_drop=0.9),
+    "rows-at-tolerance": _rows_at_tolerance,
+    "unreachable-states": _unreachable_holding,
+    "lossless-qualities": _lossless_qualities,
+    "factor-zero": _lossless_frequency,
+}
+
+
+class TestSingleChainKernel:
+    """Single chains with holding periods from ``_KERNEL_MIN_HOLDING`` on solve the kernel."""
+
+    @pytest.mark.parametrize("max_holding", [5, 6, 8, 12])
+    @pytest.mark.parametrize("make", SINGLE_KERNEL_MODELS.values(), ids=SINGLE_KERNEL_MODELS)
+    def test_factor_matches_dense_oracle_and_cycle_chain(self, rng, make, max_holding):
+        for _ in range(2):
+            chain = build_cascaded_chain(make(rng, max_holding))
+            lam, v_star = current_csi_factor(chain)
+            mat = drop_matrix(chain, v_star) @ chain.transition
+            assert lam == pytest.approx(eig_spectral_radius(mat), rel=1e-12, abs=0.0)
+            assert lam == pytest.approx(gelfand_spectral_radius(mat), rel=1e-12, abs=0.0)
+            assert cycle_chain(chain).fail_radius == lam
+            # the kernel root itself, not the dense eigensolve's rounding
+            assert lam == _kernel_factors(chain.drops[None], chain.transition, max_holding)[0]
+
+    def test_batched_eig_failure_falls_back_to_dense(self, rng, monkeypatch):
+        chain = build_cascaded_chain(random_semi_markov(rng, levels=(2, 2), max_holding=8))
+        dense = _greedy_factors(chain.drops[None], chain.transition)[0]
+        real_eig = np.linalg.eig
+
+        def batched_fails(a):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", batched_fails)
+        assert current_csi_factor(chain)[0] == dense
+        assert cycle_chain(chain).fail_radius == dense
+
+    def test_unsettled_kernel_falls_back_to_dense(self, rng, monkeypatch):
+        chain = build_cascaded_chain(random_semi_markov(rng, levels=(2, 2), max_holding=6))
+        dense = _greedy_factors(chain.drops[None], chain.transition)[0]
+        monkeypatch.setattr(stability, "_kernel_factors", lambda d, *_: np.full(len(d), np.nan))
+        assert current_csi_factor(chain)[0] == dense
+        assert cycle_chain(chain).fail_radius == dense
+
+    def test_short_holding_keeps_the_dense_path(self, rng, monkeypatch):
+        chain = build_cascaded_chain(random_semi_markov(rng, levels=(2, 2), max_holding=4))
+        monkeypatch.setattr(stability, "_kernel_factors", None)  # a call would raise
+        assert current_csi_factor(chain)[0] == _greedy_factors(chain.drops, chain.transition)
 
 
 class TestCycleChain:
