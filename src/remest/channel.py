@@ -222,9 +222,9 @@ class CascadedChain:
     Samplers invert ``_cum_rows``, the cumulative row sums set to +inf from
     each row's last positive column on: rows may sum to 1 - 1e-6, and a draw
     above the sum must land there, not on a zero-probability state.
-    ``_stationary`` holds :func:`chain_stationary` at its default tolerance
-    once computed.  The transition matrix never changes, so :meth:`with_drops`
-    shares the holder: a result computed on any copy serves them all.
+    ``_stationary`` holds :func:`chain_stationary` once computed.  The
+    transition matrix never changes, so :meth:`with_drops` shares the holder:
+    a result computed on any copy serves them all.
     """
 
     states: tuple[tuple[int, int], ...]
@@ -309,16 +309,13 @@ def _validate_chain(transition: np.ndarray, feasible: list[int]) -> None:
         raise PeriodicChainError("cascaded chain is periodic on its reachable states")
 
 
-def build_cascaded_chain(
-    model: SemiMarkovChannelModel, validate: bool = True
-) -> CascadedChain:
+def build_cascaded_chain(model: SemiMarkovChannelModel) -> CascadedChain:
     """Convert the semi-Markov model to its cascaded Markov chain.
 
     Rows follow the two-case construction in the module docstring; a state
     whose holding time can never occur is flagged unreachable and given a
-    forced-jump row (hazard 1) so the matrix stays row stochastic.  With
-    ``validate`` the chain is required to be irreducible and aperiodic on its
-    reachable states.
+    forced-jump row (hazard 1) so the matrix stays row stochastic.  The chain
+    must be irreducible and aperiodic on its reachable states.
     """
     m_bar = model.num_quality_states
     d_max = model.max_holding
@@ -346,9 +343,7 @@ def build_cascaded_chain(
     else:
         drops = lift_quality_drops(model.quality_drop_table(), d_max)
 
-    if validate:
-        feasible = [k for k in range(m_til) if k not in unreachable]
-        _validate_chain(mtil, feasible)
+    _validate_chain(mtil, [k for k in range(m_til) if k not in unreachable])
 
     return CascadedChain(
         states=states,
@@ -434,30 +429,28 @@ def sample_paths(
     return out
 
 
-def chain_stationary(chain: CascadedChain, tol: float = _STATIONARY_TOL) -> np.ndarray:
+def chain_stationary(chain: CascadedChain) -> np.ndarray:
     """Stationary distribution over cascaded states (zeros on unreachable ones).
 
-    The result at the default ``tol`` is computed once per chain and returned
-    read-only on every later call.
+    The result is computed once per chain and returned read-only on every
+    later call.
     """
-    default_tol = tol == _STATIONARY_TOL
-    if default_tol and chain._stationary:
+    if chain._stationary:
         return chain._stationary[0]
     feasible = [k for k in range(chain.num_states) if k not in chain.unreachable]
     pi = np.zeros(chain.num_states)
-    pi[feasible] = stationary_distribution(chain.transition[np.ix_(feasible, feasible)], tol)
-    if default_tol:
-        pi.flags.writeable = False
-        chain._stationary.append(pi)
+    pi[feasible] = stationary_distribution(chain.transition[np.ix_(feasible, feasible)])
+    pi.flags.writeable = False
+    chain._stationary.append(pi)
     return pi
 
 
-def stationary_distribution(p: np.ndarray, tol: float = _STATIONARY_TOL) -> np.ndarray:
+def stationary_distribution(p: np.ndarray) -> np.ndarray:
     """Stationary probability vector of an irreducible aperiodic chain.
 
     One LU solve of the balance equations ``(P^T - I) pi = 0`` with the last
     one replaced by the normalization ``1^T pi = 1``, then verifies the fixed
-    point to ``tol``.
+    point to ``_STATIONARY_TOL``.
     """
     p = _as_matrix(p, "transition matrix")
     n = p.shape[0]
@@ -475,8 +468,8 @@ def stationary_distribution(p: np.ndarray, tol: float = _STATIONARY_TOL) -> np.n
     if total <= 0.0:
         raise NonConvergentError("stationary solve produced a zero vector")
     pi = pi / total
-    if float(np.max(np.abs(pi @ p - pi))) > tol:
-        raise NonConvergentError(f"stationary vector does not meet tol={tol}")
+    if float(np.max(np.abs(pi @ p - pi))) > _STATIONARY_TOL:
+        raise NonConvergentError(f"stationary vector does not meet tol={_STATIONARY_TOL}")
     if np.any(pi <= 0.0):
         raise NonConvergentError("stationary vector has nonpositive entries")
     return pi

@@ -174,20 +174,39 @@ def _emit_table(out, header: list[str], columns, scenario_sha256: str, summary: 
         sys.stdout.writelines(_csv_lines(header, columns))
 
 
-def _trace_hook(fh):
-    """Record hook writing one trace row per slot to the open file ``fh``."""
-    fh.write("slot,channel_state,actions,outcomes,aoi,cost\n")
+def _joined(rows: np.ndarray) -> list[str]:
+    """Each row's entries joined by ``|``."""
+    return ["|".join(map(str, row)) for row in rows.tolist()]
 
-    def hook(record):
-        fh.write(
-            f"{record.slot},{record.channel_state},"
-            f"{'|'.join(map(str, record.actions))},"
-            f"{'|'.join(str(int(o)) for o in record.outcomes)},"
-            f"{'|'.join(map(str, record.aoi))},"
-            f"{float(record.costs.sum())!r}\n"
+
+def _trace_observer(fh, scenario, slots: int):
+    """Run observer writing one trace row per slot of the first ``slots`` slots to ``fh``."""
+    header = ["slot", "channel_state", "actions", "outcomes", "aoi", "cost"]
+
+    def observe(chunk):
+        count = slots - chunk.start + 1
+        if count <= 0:
+            return
+        aoi = chunk.aoi[0, :count]
+        top = int(aoi.max())
+        costs = np.stack(
+            [cf.tables(top)[0][aoi[:, i]] for i, cf in enumerate(scenario.cost_functions)],
+            axis=1,
         )
+        columns = [
+            np.arange(chunk.start, chunk.start + len(aoi)),
+            chunk.path[:count],
+            _joined(chunk.actions[0, :count]),
+            _joined(chunk.outcomes[0, :count].astype(int)),
+            _joined(aoi),
+            costs.sum(axis=1),
+        ]
+        lines = _csv_lines(header, columns)
+        if chunk.start > 1:
+            next(lines)  # the header heads the first chunk only
+        fh.writelines(lines)
 
-    return hook
+    return observe
 
 
 def _cmd_simulate(args) -> int:
@@ -220,10 +239,8 @@ def _cmd_simulate(args) -> int:
             if args.full_physics:
                 summary = full_physics_run(scenario, policy, horizon, seed)
             elif trace and k == 0:
-                summary = run(
-                    scenario, policy, horizon, seed,
-                    record_hook=_trace_hook(trace), record_limit=args.trace_slots,
-                )
+                observer = _trace_observer(trace, scenario, args.trace_slots)
+                summary = run(scenario, policy, horizon, seed, observer=observer)
             else:
                 summary = run(scenario, policy, horizon, seed)
             row = [seed, horizon, policy_name, summary.total_cost, summary.log_total_cost / math.log(10.0)]

@@ -15,8 +15,10 @@ axis: the cells of a simulated sweep differ only in their drop tables, so
 they share one walk per seed, and a single run is the one-cell case.  Costs
 come from per-sensor AoI occupancy histograms, scored in log space when the
 linear value overflows, so diverging runs report growth rather than
-infinities.  The full-physics mode observes the same chunks and checks the
-per-age cost against the empirical squared error of simulated plants.
+infinities.  :func:`run` is the one loop over the chunks; an optional
+observer sees each one-cell chunk after it is tallied.  The CLI's slot trace
+and the full-physics mode, which checks the per-age cost against the
+empirical squared error of simulated plants, are such observers.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import copy
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -233,27 +235,27 @@ class SimState:
     rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    slot: int
-    channel_state: int
-    actions: np.ndarray
-    outcomes: np.ndarray
-    aoi: np.ndarray
-    costs: np.ndarray
-
-
 def initial_state(
     scenario: Scenario, seed, initial_channel_state: int | None = None
 ) -> SimState:
     """Fresh state at slot 1 with unit AoI everywhere.
 
     Unless given, the initial channel state is drawn from the stationary
-    distribution of the cascaded chain (one extra RNG draw).
+    distribution of the cascaded chain (one extra RNG draw).  A given state
+    must be a reachable one in ``0..S-1``.
     """
+    chain = scenario.chain
+    if initial_channel_state is not None and (
+        not 0 <= initial_channel_state < chain.num_states
+        or initial_channel_state in chain.unreachable
+    ):
+        raise ValueError(
+            f"initial_channel_state must be a reachable state in 0..{chain.num_states - 1},"
+            f" got {initial_channel_state}"
+        )
     rng = np.random.default_rng(seed)
     if initial_channel_state is None:
-        pi = chain_stationary(scenario.chain)
+        pi = chain_stationary(chain)
         initial_channel_state = int(rng.choice(len(pi), p=pi))
     return SimState(
         slot=1,
@@ -355,29 +357,10 @@ def _chunks(state: SimState, scenario: Scenario, blocks, horizon: int, stops=())
             done += k
 
 
-def _records(chunk: _Chunk, scenario: Scenario, count: int):
-    """Slot records of a one-cell chunk's first ``count`` slots."""
-    aoi = chunk.aoi[0, :count]
-    top = int(aoi.max(initial=1))
-    costs = np.stack(
-        [cf.tables(top)[0][aoi[:, i]] for i, cf in enumerate(scenario.cost_functions)],
-        axis=1,
-    )
-    for t, channel_state in enumerate(chunk.path[:count].tolist()):
-        yield SlotRecord(
-            slot=chunk.start + t,
-            channel_state=channel_state,
-            actions=chunk.actions[0, t].copy(),
-            outcomes=chunk.outcomes[0, t].copy(),
-            aoi=aoi[t].copy(),
-            costs=costs[t].copy(),
-        )
-
-
 def step(
     state: SimState, scenario: Scenario, policy, want_record: bool = True
-) -> tuple[SimState, SlotRecord | None]:
-    """Advance the simulation by one slot (in place) and return the record.
+) -> tuple[SimState, _Chunk | None]:
+    """Advance the simulation by one slot (in place); return its one-cell chunk if wanted.
 
     The policy sees the pre-transmission AoI and the current channel state;
     a success resets the sensor's AoI to 1 for the next slot, any other
@@ -386,7 +369,7 @@ def step(
     start = state.slot
     path, uniforms = _walk(state, scenario, 1)
     chunk = _advance(_one_cell(state, scenario, policy), start, path, uniforms)
-    return state, next(_records(chunk, scenario, 1)) if want_record else None
+    return state, chunk if want_record else None
 
 
 class _Tally:
@@ -509,30 +492,29 @@ def run(
     seed,
     checkpoints=(),
     initial_channel_state: int | None = None,
-    record_hook=None,
-    record_limit: int | None = None,
+    observer=None,
 ) -> SimSummary:
     """Simulate ``horizon`` slots and return averaged costs and cycle samples.
 
     Reproducible: identical (scenario, policy, horizon, seed) give identical
-    summaries.  ``record_hook`` receives a :class:`SlotRecord` for the first
-    ``record_limit`` slots (all slots if None); leave it unset for speed.
+    summaries.  ``observer``, if given, is called with each one-cell
+    ``_Chunk`` (fields ``start``, ``path``, ``actions``, ``outcomes`` and
+    ``aoi``, each with a leading cell axis of length 1) once it is tallied.
+    Chunks hold up to ``_CHUNK`` slots and also end at every checkpoint.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     state = initial_state(scenario, seed, initial_channel_state)
     policy.reset()
     tally = _Tally(scenario)
-    last_recorded = horizon if record_limit is None else record_limit
     checkpoint_set = {int(c) for c in checkpoints}
     checkpoint_log: dict[int, float] = {}
     blocks = [_one_cell(state, scenario, policy)]
     for _, chunk in _chunks(state, scenario, blocks, horizon, checkpoint_set):
         tally.add(chunk)
+        if observer is not None:
+            observer(chunk)
         end = state.slot - 1
-        if record_hook is not None and chunk.start <= last_recorded:
-            for record in _records(chunk, scenario, min(end, last_recorded) - chunk.start + 1):
-                record_hook(record)
         if end in checkpoint_set:
             checkpoint_log[end] = float(np.logaddexp.reduce(tally.log_costs(end)[0]))
     return tally.summary(policy, horizon, seed, checkpoint_log_total=checkpoint_log)
@@ -646,38 +628,39 @@ def full_physics_run(
 ) -> SimSummary:
     """Simulate the plant/sensor physics and bucket the remote error by AoI.
 
-    Runs the same slots as :func:`run` with the same seed, so the schedule,
-    outcomes and cycle lengths are identical; the process and measurement
-    noises come from a child stream spawned from the seed.  Each plant
-    propagates its steady-gain local filter error and reconstructs the remote
-    error from the last delivered local estimate (see :class:`_RemoteError`).
-    The first ``burn_in`` slots warm up the filter and are excluded from the
-    buckets.  Squared remote errors are accumulated per AoI value up to
-    ``bucket_max`` next to the analytic per-age cost they should match.
+    Runs :func:`run` with the same seed, so the schedule, outcomes and cycle
+    lengths are identical, and observes its chunks: the process and
+    measurement noises come from a child stream spawned from the seed, and
+    each plant propagates its steady-gain local filter error and reconstructs
+    the remote error from the last delivered local estimate (see
+    :class:`_RemoteError`).  The first ``burn_in`` slots warm up the filter
+    and are excluded from the buckets.  Squared remote errors are accumulated
+    per AoI value up to ``bucket_max`` next to the analytic per-age cost they
+    should match.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    state = initial_state(scenario, seed, initial_channel_state)
-    noise_rng = np.random.default_rng(state.rng.bit_generator.seed_seq.spawn(1)[0])
-    policy.reset()
-    tally = _Tally(scenario)
+    seed_seq = np.random.default_rng(seed).bit_generator.seed_seq
+    noise_rng = np.random.default_rng(seed_seq.spawn(1)[0])
     plants = [
         _RemoteError(p, cf, bucket_max)
         for p, cf in zip(scenario.processes, scenario.cost_functions)
     ]
     edges = np.cumsum([0] + [p.state_dim + p.measurement_dim for p in scenario.processes])
-    for _, chunk in _chunks(state, scenario, [_one_cell(state, scenario, policy)], horizon):
-        tally.add(chunk)
+
+    def observe(chunk: _Chunk) -> None:
         k = len(chunk.path)
         noise = noise_rng.standard_normal((k, edges[-1]))
         scored = np.arange(chunk.start, chunk.start + k) > burn_in
         for i, plant in enumerate(plants):
             plant.observe(noise[:, edges[i] : edges[i + 1]], chunk.aoi[0, :, i], scored)
 
+    summary = run(
+        scenario, policy, horizon, seed,
+        initial_channel_state=initial_channel_state, observer=observe,
+    )
     counts = np.array([p.counts for p in plants])
     sq_sums = np.array([p.sq_sums for p in plants])
     mean_sq = np.where(counts > 0, sq_sums / np.maximum(counts, 1), np.nan)
     predicted = np.array([cf.tables(bucket_max)[0] for cf in scenario.cost_functions])
     predicted[:, 0] = 0.0
     buckets = MseBuckets(counts=counts, mean_sq=mean_sq, predicted=predicted)
-    return tally.summary(policy, horizon, seed, mse_buckets=buckets)
+    return replace(summary, mse_buckets=buckets)

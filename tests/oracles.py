@@ -24,7 +24,8 @@ Kahan-compensated cost sums, driving a policy through ``select`` and
 ``observe`` one slot at a time, and ``reference_policy`` gives per-slot
 implementations of the three scheduling policies for it to drive;
 ``sample_next``, its one-draw channel step, inverts the production chain's
-cumulative rows.
+cumulative rows; ``reference_trace``, the reference for ``simulate --trace``,
+formats ``reference_run``'s slot records one f-string row at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -460,10 +462,14 @@ def sample_next(chain, current: int, rng) -> int:
     return bisect_right(chain._cum_tuples[current], rng.random())
 
 
+# one slot as the reference loop sees it: actions, outcomes, pre-transmission
+# AoI and per-sensor costs are per-sensor arrays
+ReferenceRecord = namedtuple("ReferenceRecord", "slot channel_state actions outcomes aoi costs")
+
+
 def reference_step(state, scenario, policy, want_record: bool = True):
     """One slot: select, draw M outcome uniforms, observe, one channel draw."""
     from remest.errors import InvalidActionError
-    from remest.sim import SlotRecord
 
     n, m = scenario.num_sensors, scenario.num_frequencies
     actions = policy.select(state.aoi, state.channel_state)
@@ -492,7 +498,7 @@ def reference_step(state, scenario, policy, want_record: bool = True):
         costs = np.array(
             [cf.cost(int(age)) for cf, age in zip(scenario.cost_functions, state.aoi)]
         )
-        record = SlotRecord(
+        record = ReferenceRecord(
             slot=state.slot,
             channel_state=state.channel_state,
             actions=np.asarray(actions, dtype=int).copy(),
@@ -555,6 +561,24 @@ def reference_run(
         checkpoint_log_total=checkpoint_log,
         saturated=any(a.saturated for a in accs),
     )
+
+
+def reference_trace(scenario, policy_name: str, horizon: int, seed, trace_slots: int) -> str:
+    """The ``simulate --trace`` file of one run: a header, then one row per traced slot."""
+    lines = ["slot,channel_state,actions,outcomes,aoi,cost\n"]
+
+    def hook(record):
+        lines.append(
+            f"{record.slot},{record.channel_state},"
+            f"{'|'.join(map(str, record.actions))},"
+            f"{'|'.join(str(int(o)) for o in record.outcomes)},"
+            f"{'|'.join(map(str, record.aoi))},"
+            f"{float(record.costs.sum())!r}\n"
+        )
+
+    reference_run(scenario, reference_policy(policy_name, scenario), horizon, seed,
+                  record_hook=hook, record_limit=trace_slots)
+    return "".join(lines)
 
 
 def cascaded_index(chain, quality: int, delta: int) -> int:

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from remest import (
     step,
 )
 from remest import sim
+from remest.cli import _trace_observer, main
 from remest.sim import POLICIES, frequency_ranking, initial_state
 
 from conftest import (
@@ -30,7 +32,8 @@ from conftest import (
     scalar_process,
     single_sensor_scenario,
 )
-from oracles import greedy_frequency_for, reference_policy, reference_run, tv_distance
+from oracles import cascaded_index, greedy_frequency_for, reference_policy, reference_run
+from oracles import reference_trace, tv_distance
 
 
 class FixedPolicy:
@@ -133,13 +136,14 @@ class TestStep:
     def test_record_snapshot(self):
         s = example_scenario()
         state = initial_state(s, seed=5, initial_channel_state=2)
-        _, rec = step(state, s, FixedPolicy([1, 2, 0]))
-        assert rec.slot == 1
-        assert rec.channel_state == 2
-        np.testing.assert_array_equal(rec.aoi, [1, 1, 1])
-        np.testing.assert_array_equal(rec.actions, [1, 2, 0])
-        assert rec.costs.shape == (3,)
-        assert np.all(rec.costs > 0)
+        _, chunk = step(state, s, FixedPolicy([1, 2, 0]))
+        assert chunk.start == 1
+        assert chunk.path.tolist() == [2]
+        np.testing.assert_array_equal(chunk.aoi[0, 0], [1, 1, 1])
+        np.testing.assert_array_equal(chunk.actions[0, 0], [1, 2, 0])
+        assert chunk.outcomes.shape == chunk.aoi.shape == (1, 1, 3)
+        _, none = step(state, s, FixedPolicy([1, 2, 0]), want_record=False)
+        assert none is None
 
     def test_success_probability_binomial(self):
         s = single_sensor_scenario(1.1, 0.5)
@@ -204,11 +208,12 @@ class TestPolicies:
     def test_assignment_invariant_every_slot(self):
         s = example_scenario()
         pol = GreedyTopKPolicy(s.cost_functions, s.chain)
-        records = []
-        run(s, pol, horizon=500, seed=9, record_hook=records.append)
-        assert len(records) == 500
-        for rec in records:
-            used = rec.actions[rec.actions > 0]
+        chunks = []
+        run(s, pol, horizon=500, seed=9, observer=chunks.append)
+        actions = np.concatenate([c.actions[0] for c in chunks])
+        assert len(actions) == 500
+        for row in actions:
+            used = row[row > 0]
             assert len(used) == len(set(used.tolist()))
             assert used.max(initial=0) <= s.num_frequencies
 
@@ -279,13 +284,11 @@ class TestRun:
 
     def test_channel_occupancy_matches_stationary(self):
         s = example_scenario(psi1=0.3)
-        counts = np.zeros(s.chain.num_states)
-
-        def hook(rec):
-            counts[rec.channel_state] += 1
-
+        counts = []
         run(s, make_policy("persistent-serial", s), horizon=1_000_000, seed=37,
-            record_hook=hook)
+            observer=lambda c: counts.append(np.bincount(c.path, minlength=s.chain.num_states)))
+        counts = np.sum(counts, axis=0)
+        assert counts.sum() == 1_000_000
         pi = chain_stationary(s.chain)
         assert tv_distance(counts / counts.sum(), pi) < 0.01
 
@@ -316,29 +319,56 @@ class TestRun:
         cost = s.cost_functions[0].tables(40)[0]
         assert summary.avg_cost[0] == pytest.approx(np.sum(cost[ages] / 1000), rel=1e-12)
 
-    def test_record_limit(self):
+    def test_record_limit(self, monkeypatch):
+        """The trace observer writes the first slots only, across chunk ends."""
+        monkeypatch.setattr(sim, "_CHUNK", 3)
         s = example_scenario()
-        records = []
+        trace = io.StringIO()
         run(s, make_policy("persistent-serial", s), horizon=100, seed=2,
-            record_hook=records.append, record_limit=7)
-        assert len(records) == 7
+            observer=_trace_observer(trace, s, 7))
+        lines = trace.getvalue().splitlines()
+        assert len(lines) == 1 + 7
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(1, 8))
 
     def test_initial_channel_state_respected(self):
         s = example_scenario()
-        records = []
+        chunks = []
         run(s, make_policy("persistent-serial", s), horizon=1, seed=2,
-            record_hook=records.append, initial_channel_state=5)
-        assert records[0].channel_state == 5
+            observer=chunks.append, initial_channel_state=5)
+        assert chunks[0].path[0] == 5
+
+    def test_initial_channel_state_checked(self):
+        # quality 0 always holds one slot, so its holding time 2 never occurs
+        channel = SemiMarkovChannelModel(
+            levels_per_frequency=(2,),
+            transition=[[0.4, 0.6], [0.5, 0.5]],
+            holding_pmf=[[1.0, 0.0], [0.6, 0.4]],
+            level_drops=((0.2, 0.7),),
+        )
+        s = Scenario.build([scalar_process(1.1)], channel)
+        unreachable = cascaded_index(s.chain, 0, 2)
+        assert s.chain.unreachable == {unreachable}
+        for bad in (-1, s.chain.num_states, unreachable):
+            with pytest.raises(ValueError, match=r"reachable state in 0\.\.3, got"):
+                run(s, make_policy("persistent-serial", s), horizon=5, seed=1,
+                    initial_channel_state=bad)
+        chunks = []
+        run(s, make_policy("persistent-serial", s), horizon=5, seed=1,
+            observer=chunks.append, initial_channel_state=2)
+        assert chunks[0].path[0] == 2
 
     def test_aoi_follows_update_rule_exactly(self):
         s = example_scenario()
-        records = []
+        chunks = []
         run(s, make_policy("greedy-topk", s), horizon=2000, seed=61,
-            record_hook=records.append)
+            observer=chunks.append)
+        ages = np.concatenate([c.aoi[0] for c in chunks])
+        outcomes = np.concatenate([c.outcomes[0] for c in chunks])
+        assert len(ages) == 2000
         aoi = np.ones(3, dtype=int)
-        for rec in records:
-            np.testing.assert_array_equal(rec.aoi, aoi)
-            aoi = np.where(rec.outcomes, 1, aoi + 1)
+        for got, delivered in zip(ages, outcomes):
+            np.testing.assert_array_equal(got, aoi)
+            aoi = np.where(delivered, 1, aoi + 1)
 
 
 class TestFullPhysics:
@@ -390,13 +420,18 @@ class TestFullPhysics:
             assert b.mean_sq[0, age] == pytest.approx(b.predicted[0, age], rel=0.05)
 
 
-def assert_matches_reference(scenario, policy_name, horizon, seed, **kwargs):
-    """Engine run and per-slot reference loop: same cycles, costs and records."""
+def assert_matches_reference(scenario, policy_name, horizon, seed, record_limit=None, **kwargs):
+    """Engine run and per-slot reference loop: same cycles, costs and slots.
+
+    The engine's chunks are compared slot by slot with the reference's
+    records for the first ``record_limit`` slots (all if None); the per-slot
+    costs are compared through the trace by ``TestTraceMatchesReference``.
+    """
     policy = make_policy(policy_name, scenario)
-    got_records, want_records = [], []
-    got = run(scenario, policy, horizon, seed, record_hook=got_records.append, **kwargs)
+    chunks, want_records = [], []
+    got = run(scenario, policy, horizon, seed, observer=chunks.append, **kwargs)
     want = reference_run(scenario, reference_policy(policy_name, scenario), horizon, seed,
-                         record_hook=want_records.append, **kwargs)
+                         record_hook=want_records.append, record_limit=record_limit, **kwargs)
     assert len(got.cycle_lengths) == len(want.cycle_lengths)
     for a, b in zip(got.cycle_lengths, want.cycle_lengths):
         assert np.array_equal(a, b)
@@ -406,12 +441,14 @@ def assert_matches_reference(scenario, policy_name, horizon, seed, **kwargs):
     assert got.checkpoint_log_total.keys() == want.checkpoint_log_total.keys()
     for t, value in want.checkpoint_log_total.items():
         assert got.checkpoint_log_total[t] == pytest.approx(value, abs=1e-12)
-    assert len(got_records) == len(want_records)
-    for a, b in zip(got_records, want_records):
-        assert (a.slot, a.channel_state) == (b.slot, b.channel_state)
-        for name in ("actions", "outcomes", "aoi", "costs"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype and np.array_equal(x, y), (a.slot, name)
+    assert sum(len(c.path) for c in chunks) == horizon
+    slots = [(c, t) for c in chunks for t in range(len(c.path))][: len(want_records)]
+    assert len(slots) == len(want_records)
+    for (chunk, t), b in zip(slots, want_records):
+        assert (chunk.start + t, chunk.path[t]) == (b.slot, b.channel_state)
+        for name in ("actions", "outcomes", "aoi"):
+            x, y = getattr(chunk, name)[0, t], getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (b.slot, name)
 
 
 class TestEngineMatchesReference:
@@ -515,3 +552,23 @@ class TestFullPhysicsEngine:
                                    rtol=1e-12)
         for a, b in zip(whole.cycle_lengths, parts.cycle_lengths):
             assert np.array_equal(a, b)
+
+
+class TestTraceMatchesReference:
+    """``simulate --trace`` against the reference loop's per-record formatter."""
+
+    @pytest.mark.parametrize("chunk", [None, 97])
+    @pytest.mark.parametrize("trace_slots", [1, 10, 150, 400])
+    @pytest.mark.parametrize("policy_name", sorted(POLICIES))
+    def test_bundled(self, policy_name, trace_slots, chunk, tmp_path, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(sim, "_CHUNK", chunk)
+        horizon, seed = 300, 4
+        trace = tmp_path / "trace.csv"
+        code = main(["simulate", "--horizon", str(horizon), "--seed", str(seed),
+                     "--policy", policy_name, "--trace", str(trace),
+                     "--trace-slots", str(trace_slots)])
+        assert code == 0
+        scenario = load_bundled_scenario().scenario
+        want = reference_trace(scenario, policy_name, horizon, seed, trace_slots)
+        assert trace.read_bytes() == want.encode()
