@@ -25,7 +25,8 @@ Kahan-compensated cost sums, driving a policy through ``select`` and
 implementations of the three scheduling policies for it to drive;
 ``sample_next``, its one-draw channel step, inverts the production chain's
 cumulative rows; ``reference_trace``, the reference for ``simulate --trace``,
-formats ``reference_run``'s slot records one f-string row at a time.
+formats ``reference_run``'s slot records one f-string row at a time through
+``format_trace``.
 """
 
 from __future__ import annotations
@@ -563,11 +564,10 @@ def reference_run(
     )
 
 
-def reference_trace(scenario, policy_name: str, horizon: int, seed, trace_slots: int) -> str:
-    """The ``simulate --trace`` file of one run: a header, then one row per traced slot."""
+def format_trace(records) -> str:
+    """A ``simulate --trace`` file: a header, then one f-string row per slot record."""
     lines = ["slot,channel_state,actions,outcomes,aoi,cost\n"]
-
-    def hook(record):
+    for record in records:
         lines.append(
             f"{record.slot},{record.channel_state},"
             f"{'|'.join(map(str, record.actions))},"
@@ -575,10 +575,15 @@ def reference_trace(scenario, policy_name: str, horizon: int, seed, trace_slots:
             f"{'|'.join(map(str, record.aoi))},"
             f"{float(record.costs.sum())!r}\n"
         )
-
-    reference_run(scenario, reference_policy(policy_name, scenario), horizon, seed,
-                  record_hook=hook, record_limit=trace_slots)
     return "".join(lines)
+
+
+def reference_trace(scenario, policy_name: str, horizon: int, seed, trace_slots: int) -> str:
+    """The ``simulate --trace`` file of one run, formatted by ``format_trace``."""
+    records = []
+    reference_run(scenario, reference_policy(policy_name, scenario), horizon, seed,
+                  record_hook=records.append, record_limit=trace_slots)
+    return format_trace(records)
 
 
 def cascaded_index(chain, quality: int, delta: int) -> int:

@@ -33,7 +33,7 @@ from conftest import (
     single_sensor_scenario,
 )
 from oracles import cascaded_index, greedy_frequency_for, reference_policy, reference_run
-from oracles import reference_trace, tv_distance
+from oracles import format_trace, reference_trace, tv_distance
 
 
 class FixedPolicy:
@@ -424,12 +424,20 @@ def assert_matches_reference(scenario, policy_name, horizon, seed, record_limit=
     """Engine run and per-slot reference loop: same cycles, costs and slots.
 
     The engine's chunks are compared slot by slot with the reference's
-    records for the first ``record_limit`` slots (all if None); the per-slot
-    costs are compared through the trace by ``TestTraceMatchesReference``.
+    records for the first ``record_limit`` slots (all if None), and the
+    trace written from those chunks, per-slot cost column included, must
+    equal the reference's formatting of its records byte for byte.
     """
     policy = make_policy(policy_name, scenario)
     chunks, want_records = [], []
-    got = run(scenario, policy, horizon, seed, observer=chunks.append, **kwargs)
+    trace = io.StringIO()
+    write_trace = _trace_observer(trace, scenario, record_limit or horizon)
+
+    def observe(chunk):
+        chunks.append(chunk)
+        write_trace(chunk)
+
+    got = run(scenario, policy, horizon, seed, observer=observe, **kwargs)
     want = reference_run(scenario, reference_policy(policy_name, scenario), horizon, seed,
                          record_hook=want_records.append, record_limit=record_limit, **kwargs)
     assert len(got.cycle_lengths) == len(want.cycle_lengths)
@@ -449,6 +457,11 @@ def assert_matches_reference(scenario, policy_name, horizon, seed, record_limit=
         for name in ("actions", "outcomes", "aoi"):
             x, y = getattr(chunk, name)[0, t], getattr(b, name)
             assert x.dtype == y.dtype and np.array_equal(x, y), (b.slot, name)
+    got_rows = trace.getvalue().splitlines(keepends=True)
+    want_rows = format_trace(want_records).splitlines(keepends=True)
+    assert len(got_rows) == len(want_rows)
+    for x, y in zip(got_rows, want_rows):
+        assert x == y
 
 
 class TestEngineMatchesReference:
