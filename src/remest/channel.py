@@ -355,12 +355,22 @@ def build_cascaded_chain(model: SemiMarkovChannelModel) -> CascadedChain:
     )
 
 
+def frequency_ranking(drops: np.ndarray) -> np.ndarray:
+    """Frequencies of each state ordered by ascending drop probability.
+
+    ``drops`` is a drop table (S x M) or a stack of them; row s of the result
+    lists 1-based frequency indices, ties keeping the lower index first.
+    """
+    return np.argsort(drops, axis=-1, kind="stable") + 1
+
+
 def greedy_selection(chain: CascadedChain) -> np.ndarray:
     """Per cascaded state, the frequency with the smallest drop probability.
 
-    Ties break toward the lowest frequency index.  Frequencies are 1-based.
+    Column 0 of :func:`frequency_ranking`: ties break toward the lowest
+    frequency index.  Frequencies are 1-based.
     """
-    return np.argmin(chain.drops, axis=1).astype(int) + 1
+    return frequency_ranking(chain.drops)[:, 0]
 
 
 def _selection_vector(chain: CascadedChain, selection) -> np.ndarray:
@@ -446,18 +456,23 @@ def chain_stationary(chain: CascadedChain) -> np.ndarray:
 
 
 def stationary_distribution(p: np.ndarray) -> np.ndarray:
-    """Stationary probability vector of an irreducible aperiodic chain.
-
-    One LU solve of the balance equations ``(P^T - I) pi = 0`` with the last
-    one replaced by the normalization ``1^T pi = 1``, then verifies the fixed
-    point to ``_STATIONARY_TOL``.
-    """
+    """Stationary probability vector of ``p``, checked to be an irreducible aperiodic chain."""
     p = _as_matrix(p, "transition matrix")
     n = p.shape[0]
     _check_shape(p, (n, n), "transition matrix")
     _check_stochastic_rows(p, "transition matrix")
     _validate_chain(p, list(range(n)))
+    return _stationary_solve(p)
 
+
+def _stationary_solve(p: np.ndarray) -> np.ndarray:
+    """The stationary vector of a stochastic matrix with a unique one, periodic or not.
+
+    One LU solve of the balance equations ``(P^T - I) pi = 0`` with the last
+    one replaced by the normalization ``1^T pi = 1``, then verifies the fixed
+    point to ``_STATIONARY_TOL`` and that every entry is positive.
+    """
+    n = p.shape[0]
     system = p.T - np.eye(n)
     system[-1] = 1.0
     rhs = np.zeros(n)
@@ -468,7 +483,7 @@ def stationary_distribution(p: np.ndarray) -> np.ndarray:
     if total <= 0.0:
         raise NonConvergentError("stationary solve produced a zero vector")
     pi = pi / total
-    if float(np.max(np.abs(pi @ p - pi))) > _STATIONARY_TOL:
+    if not float(np.max(np.abs(pi @ p - pi))) <= _STATIONARY_TOL:  # a NaN fails too
         raise NonConvergentError(f"stationary vector does not meet tol={_STATIONARY_TOL}")
     if np.any(pi <= 0.0):
         raise NonConvergentError("stationary vector has nonpositive entries")

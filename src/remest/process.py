@@ -182,25 +182,31 @@ def propagate_covariance(model: ProcessModel, x, steps: int = 1) -> np.ndarray:
     return x
 
 
-def spectral_radius(x) -> float:
-    """Largest eigenvalue magnitude of a square matrix.
+def spectral_radius(x) -> float | np.ndarray:
+    """Largest eigenvalue magnitude of a square matrix, or of each of a stack ``(..., n, n)``.
 
-    Uses a dense eigensolve, which is exact to machine precision for the
-    matrix sizes this package handles.  Deterministic for a fixed input.
+    One dense (batched) eigensolve, exact to machine precision for the matrix
+    sizes this package handles, so every matrix of a stack gets the bits it
+    gets alone.  If the solve fails, each matrix is solved alone and retried on
+    its transpose before :class:`NonConvergentError` is raised.  A 2-d input
+    gives a ``float``, a stack an array of its leading shape.
     """
     a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] == 1:
-        return abs(float(a[0, 0]))
+    if a.shape[-1] == 1:
+        return abs(float(a[0, 0])) if a.ndim == 2 else np.abs(a[..., 0, 0])
     try:
-        eigs = np.linalg.eigvals(a)
+        radius = np.abs(np.linalg.eigvals(a)).max(axis=-1)
     except np.linalg.LinAlgError:
+        if a.ndim > 2:
+            each = [spectral_radius(m) for m in a.reshape(-1, *a.shape[-2:])]
+            return np.reshape(each, a.shape[:-2])
         try:
-            eigs = np.linalg.eigvals(a.T)  # same spectrum, different pivoting
+            radius = np.abs(np.linalg.eigvals(a.T)).max()  # same spectrum, different pivoting
         except np.linalg.LinAlgError as exc:
             raise NonConvergentError(f"eigensolve failed: {exc}") from exc
-    return float(np.max(np.abs(eigs)))
+    return float(radius) if a.ndim == 2 else radius
 
 
 class CostFunction:
@@ -214,11 +220,10 @@ class CostFunction:
     iterate of each track is kept.
     """
 
-    def __init__(self, model: ProcessModel, kf: SteadyStateKF | None = None):
+    def __init__(self, model: ProcessModel):
         self.model = model
-        self.kf = kf = steady_state_covariance(model) if kf is None else kf
+        self.kf = kf = steady_state_covariance(model)
         self.steady_covariance = kf.covariance
-        self.plant_spectral_radius = spectral_radius(model.A)
         trace0 = float(np.trace(kf.covariance))
         # the last iterate of each track: the plain covariance (None once it
         # passes the limit), and the covariance over its trace with the log trace

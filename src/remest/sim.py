@@ -15,10 +15,11 @@ axis: the cells of a simulated sweep differ only in their drop tables, so
 they share one walk per seed, and a single run is the one-cell case.  Costs
 come from per-sensor AoI occupancy histograms, scored in log space when the
 linear value overflows, so diverging runs report growth rather than
-infinities.  :func:`run` is the one loop over the chunks; an optional
-observer sees each one-cell chunk after it is tallied.  The CLI's slot trace
-and the full-physics mode, which checks the per-age cost against the
-empirical squared error of simulated plants, are such observers.
+infinities.  One driver loops over the chunks for :func:`run` and for the
+cells of a simulated sweep alike; an optional observer sees each one-cell
+chunk of a run after it is tallied.  The CLI's slot trace and the
+full-physics mode, which checks the per-age cost against the empirical
+squared error of simulated plants, are such observers.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import CascadedChain, SemiMarkovChannelModel, _walk_path
-from .channel import build_cascaded_chain, chain_stationary
+from .channel import build_cascaded_chain, chain_stationary, frequency_ranking
 from .errors import InvalidActionError
-from .process import CostFunction, ProcessModel
+from .process import _LOG_MAX_FLOAT, CostFunction, ProcessModel
 
-_LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 _CHUNK = 1 << 16  # slots per engine step; bounds memory for any horizon
 _CELL_SLOTS = 1 << 15  # cells x slots per block of a many-cell step; bounds memory for any grid
 
@@ -80,15 +80,6 @@ class Scenario:
     @property
     def num_frequencies(self) -> int:
         return self.channel.num_frequencies
-
-
-def frequency_ranking(drops: np.ndarray) -> np.ndarray:
-    """Frequencies of each state ordered by ascending drop probability.
-
-    ``drops`` is a drop table (S x M) or a stack of them; row s of the result
-    lists 1-based frequency indices, ties keeping the lower index first.
-    """
-    return np.argsort(drops, axis=-1, kind="stable") + 1
 
 
 class _RankedPolicy:
@@ -285,11 +276,6 @@ _Chunk = namedtuple("_Chunk", "start path actions outcomes aoi")
 _Block = namedtuple("_Block", "drops policy aoi")
 
 
-def _one_cell(state: SimState, scenario: Scenario, policy) -> _Block:
-    """The block of a single run: the scenario's drop table and the state's AoI."""
-    return _Block(scenario.chain.drops[None], policy, state.aoi[None])
-
-
 def _walk(state: SimState, scenario: Scenario, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The next ``k`` slots' channel path and success uniforms, shared by all cells.
 
@@ -368,7 +354,8 @@ def step(
     """
     start = state.slot
     path, uniforms = _walk(state, scenario, 1)
-    chunk = _advance(_one_cell(state, scenario, policy), start, path, uniforms)
+    block = _Block(scenario.chain.drops[None], policy, state.aoi[None])
+    chunk = _advance(block, start, path, uniforms)
     return state, chunk if want_record else None
 
 
@@ -378,7 +365,7 @@ class _Tally:
     With ``cycles`` it also keeps the cycle lengths of a one-cell run.
     """
 
-    def __init__(self, scenario: Scenario, cells: int = 1, cycles: bool = True):
+    def __init__(self, scenario: Scenario, cells: int, cycles: bool):
         self.cost_functions = scenario.cost_functions
         n = scenario.num_sensors
         self.cycles: list[list[np.ndarray]] | None = [[] for _ in range(n)] if cycles else None
@@ -409,33 +396,52 @@ class _Tally:
             terms = logs + np.log(self.occupancy[..., 1:])
         return np.logaddexp.reduce(terms, axis=2) - math.log(slots)
 
-    def costs(self, slots: int) -> tuple[np.ndarray, np.ndarray, bool]:
-        """One cell's per-sensor average cost, its log, and whether any average overflowed."""
-        log_avg = self.log_costs(slots)[0]
+    def summary(self, policy, horizon: int, seed, **extra) -> "SimSummary":
+        """One cell's summary: its per-sensor average costs, their logs and cycle lengths."""
+        log_avg = self.log_costs(horizon)[0]
         avg = []
         saturated = False
         for counts, cf, log in zip(self.occupancy[0], self.cost_functions, log_avg):
             ages = np.flatnonzero(counts)
             with np.errstate(over="ignore"):
-                value = counts[ages] @ cf.tables(int(ages[-1]))[0][ages] / slots
+                value = counts[ages] @ cf.tables(int(ages[-1]))[0][ages] / horizon
             if not math.isfinite(value):  # read from the log, finite if the average is
                 saturated = True
                 value = math.exp(log) if log < _LOG_MAX_FLOAT else math.inf
             avg.append(value)
-        return np.array(avg), log_avg, saturated
-
-    def summary(self, policy, horizon: int, seed, **extra) -> "SimSummary":
-        avg, log_avg, saturated = self.costs(horizon)
         return SimSummary(
             horizon=horizon,
             seed=seed,
             policy=getattr(policy, "name", type(policy).__name__),
-            avg_cost=avg,
+            avg_cost=np.array(avg),
             log_avg_cost=log_avg,
             cycle_lengths=tuple(np.concatenate(c) for c in self.cycles),
             saturated=saturated,
             **extra,
         )
+
+
+def _drive(
+    state: SimState, scenario: Scenario, blocks, horizon: int, stops, observer=None, cycles=False
+):
+    """Advance ``blocks`` ``horizon`` slots; return their tallies and each cell's log totals.
+
+    Each chunk is tallied (with its cycle lengths if ``cycles``), then shown
+    to ``observer`` if given.  At every stop slot reached, each cell's log
+    total running-average cost is taken; the second result maps those slots
+    to arrays over all blocks' cells, in block order.
+    """
+    tallies = [_Tally(scenario, len(b.aoi), cycles) for b in blocks]
+    logs: dict[int, list[np.ndarray]] = {}
+    for i, chunk in _chunks(state, scenario, blocks, horizon, stops):
+        tallies[i].add(chunk)
+        if observer is not None:
+            observer(chunk)
+        end = state.slot - 1
+        if end in stops:
+            total = np.logaddexp.reduce(tallies[i].log_costs(end), axis=1)
+            logs.setdefault(end, []).append(total)
+    return tallies, {end: np.concatenate(parts) for end, parts in logs.items()}
 
 
 @dataclass(frozen=True)
@@ -506,17 +512,10 @@ def run(
         raise ValueError("horizon must be >= 1")
     state = initial_state(scenario, seed, initial_channel_state)
     policy.reset()
-    tally = _Tally(scenario)
-    checkpoint_set = {int(c) for c in checkpoints}
-    checkpoint_log: dict[int, float] = {}
-    blocks = [_one_cell(state, scenario, policy)]
-    for _, chunk in _chunks(state, scenario, blocks, horizon, checkpoint_set):
-        tally.add(chunk)
-        if observer is not None:
-            observer(chunk)
-        end = state.slot - 1
-        if end in checkpoint_set:
-            checkpoint_log[end] = float(np.logaddexp.reduce(tally.log_costs(end)[0]))
+    block = _Block(scenario.chain.drops[None], policy, state.aoi[None])
+    stops = {int(c) for c in checkpoints}
+    (tally,), logs = _drive(state, scenario, [block], horizon, stops, observer, cycles=True)
+    checkpoint_log = {end: float(total[0]) for end, total in logs.items()}
     return tally.summary(policy, horizon, seed, checkpoint_log_total=checkpoint_log)
 
 
@@ -531,20 +530,10 @@ def _run_cells(scenario: Scenario, policy, drops: np.ndarray, horizon: int, seed
     """
     state = initial_state(scenario, seed)
     size = max(1, _CELL_SLOTS // min(_CHUNK, 2 * horizon))
-    blocks, tallies = [], []
-    for lo in range(0, len(drops), size):
-        part = drops[lo : lo + size]
-        aoi = np.ones((len(part), scenario.num_sensors), dtype=int)
-        blocks.append(_Block(part, policy._for_cells(part), aoi))
-        tallies.append(_Tally(scenario, len(part), cycles=False))
-    logs = {horizon: np.empty(len(drops)), 2 * horizon: np.empty(len(drops))}
-    for i, chunk in _chunks(state, scenario, blocks, 2 * horizon, logs):
-        tallies[i].add(chunk)
-        end = state.slot - 1
-        if end in logs:
-            logs[end][i * size : (i + 1) * size] = np.logaddexp.reduce(
-                tallies[i].log_costs(end), axis=1
-            )
+    n = scenario.num_sensors
+    parts = (drops[lo : lo + size] for lo in range(0, len(drops), size))
+    blocks = [_Block(p, policy._for_cells(p), np.ones((len(p), n), dtype=int)) for p in parts]
+    _, logs = _drive(state, scenario, blocks, 2 * horizon, {horizon, 2 * horizon})
     return logs[horizon], logs[2 * horizon]
 
 

@@ -50,10 +50,12 @@ consecutive successful deliveries of one sensor) under the greedy selection.
 Writing F = V(v*) T for a failed slot and S = (I - V(v*)) T for a successful
 one, the probability that a cycle starting in channel state i lasts j slots
 and leaves the next cycle in state k is [F^(j-1) S]_{i,k}.  Summed over j
-this is G = (I - F)^-1 S, the transition matrix of the pre-cycle channel
-states, computed exactly by one linear solve; G 1 is the probability that a
-cycle ever closes, so the mass of cycles longer than j from state i is
-[F^j G 1]_i.
+this is G = (I - F)^-1 S, computed exactly by one linear solve; G 1 is the
+probability that a cycle ever closes, so the mass of cycles longer than j
+from state i is [F^j G 1]_i.  A cycle opens in the destination of a
+successful slot, so the pre-cycle states are the columns of S with positive
+mass, a state where every frequency drops included; G restricted to them is
+the (irreducible, possibly periodic) chain of cycle-opening states.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CascadedChain, _selection_vector, greedy_selection, stationary_distribution
+from .channel import CascadedChain, _selection_vector, _stationary_solve, greedy_selection
 from .errors import DivergentSeriesError, NonConvergentError
 from .process import ProcessModel, spectral_radius
 
@@ -95,12 +97,9 @@ def max_plant_spectral_radius(processes) -> tuple[float, int]:
     """
     if not processes:
         raise ValueError("at least one process is required")
-    best, best_idx = -1.0, -1
-    for proc in processes:
-        r = spectral_radius(proc.A)
-        if r > best:
-            best, best_idx = r, proc.index
-    return best, best_idx
+    radii = [spectral_radius(proc.A) for proc in processes]
+    k = radii.index(max(radii))
+    return radii[k], processes[k].index
 
 
 @dataclass(frozen=True)
@@ -121,6 +120,11 @@ class StabilityReport:
     dominant_process: int
     horizon: int | None = None
 
+    @property
+    def rho_max_threshold(self) -> float:
+        """Largest plant spectral radius the factor can stabilize, ``1 / sqrt(factor)``."""
+        return math.inf if self.factor == 0 else 1.0 / math.sqrt(self.factor)
+
 
 def _report(plant, factor: float, selection, csi_mode: str, horizon=None):
     """The report of a channel factor against ``plant = (rho_max, dominant process)``."""
@@ -138,22 +142,13 @@ def _report(plant, factor: float, selection, csi_mode: str, horizon=None):
     )
 
 
-def _greedy_factors(drops: np.ndarray, transition: np.ndarray) -> np.ndarray:
+def _greedy_factors(drops: np.ndarray, transition: np.ndarray) -> float | np.ndarray:
     """``rho(V(v*) T)`` for a drop table (S x M) or for each of a stack of them.
 
     Row i of T is scaled by state i's smallest drop: that is ``V(v*) T`` bit
     for bit, since every other term of the matrix product is an exact zero.
-    One batched eigensolve runs the same LAPACK routine on each matrix as
-    :func:`spectral_radius`; if it fails, each matrix goes through
-    ``spectral_radius``, which retries on the transpose before raising
-    :class:`NonConvergentError`.
     """
-    fail = drops.min(axis=-1)[..., None] * transition
-    try:
-        return np.abs(np.linalg.eigvals(fail)).max(axis=-1)
-    except np.linalg.LinAlgError:
-        each = [spectral_radius(m) for m in fail.reshape(-1, *transition.shape)]
-        return np.reshape(each, fail.shape[:-2])
+    return spectral_radius(drops.min(axis=-1)[..., None] * transition)
 
 
 def _kernel(drop: np.ndarray, jump: np.ndarray, stay: np.ndarray, t: np.ndarray):
@@ -328,9 +323,9 @@ def delayed_csi_factor(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    lam, v = current_csi_factor(chain)
+    v = greedy_selection(chain)
     if np.all(v == v[0]):
-        return lam, (v,) * horizon
+        return current_csi_factor(chain)[0], (v,) * horizon
     rows = np.arange(chain.num_states)
     for _ in range(chain.num_states * chain.num_frequencies):
         e = delayed_failure_matrix(chain, v)
@@ -357,12 +352,12 @@ def evaluate_delayed_csi(processes, chain: CascadedChain, horizon: int) -> Stabi
 class CycleAnalysis:
     """Estimation-cycle chain under the greedy selection.
 
-    ``pre_cycle_states`` are the cascaded states that can open a cycle:
-    states with some chance of success that receive positive probability as
-    the destination of a successful slot.  ``g_full`` is the exact
-    ``G = (I - F)^-1 S`` over all states, ``g_prime`` its pre-cycle block and
-    ``beta`` the stationary distribution of the (row-normalized) pre-cycle
-    chain.
+    ``pre_cycle_states`` are the cascaded states that can open a cycle: the
+    destinations of successful slots, whatever their own drop probabilities.
+    ``g_full`` is the exact ``G = (I - F)^-1 S`` over all states and
+    ``g_prime`` its pre-cycle block, which holds all of G's mass.  ``beta``
+    is the stationary distribution of the row-normalized ``g_prime``: the
+    long-run law of the state a cycle opens in.
     """
 
     pre_cycle_states: tuple[int, ...]
@@ -381,7 +376,8 @@ def cycle_chain(chain: CascadedChain, tol_tail: float = 1e-12) -> CycleAnalysis:
     Only valid in the stable regime: a failure step of spectral radius >= 1
     raises :class:`DivergentSeriesError`.  A solve residual
     ``max |(I - F) G - S|`` above ``tol_tail`` raises
-    :class:`NonConvergentError`.
+    :class:`NonConvergentError`.  ``beta`` comes from the stationary solve
+    without the aperiodicity test, since the pre-cycle chain may be periodic.
     """
     min_drop = chain.drops.min(axis=1)
     fail = min_drop[:, None] * chain.transition  # V(v*) T, bit for bit
@@ -398,18 +394,12 @@ def cycle_chain(chain: CascadedChain, tol_tail: float = 1e-12) -> CycleAnalysis:
     if not residual <= tol_tail:  # a NaN residual fails too
         raise NonConvergentError(f"cycle solve residual {residual:.3e} exceeds {tol_tail}")
 
-    inbound_success = success.sum(axis=0)
-    pre = tuple(
-        i
-        for i in range(chain.num_states)
-        if min_drop[i] < 1.0 and inbound_success[i] > 0.0
-    )
+    pre = tuple(np.flatnonzero(success.sum(axis=0) > 0.0).tolist())
     if not pre:
         raise DivergentSeriesError("no cascaded state can open a cycle")
 
     g_prime = g[np.ix_(pre, pre)]
-    row_sums = g_prime.sum(axis=1)
-    beta = stationary_distribution(g_prime / row_sums[:, None])
+    beta = _stationary_solve(g_prime / g_prime.sum(axis=1)[:, None])
 
     return CycleAnalysis(
         pre_cycle_states=pre,

@@ -30,9 +30,8 @@ from .channel import CascadedChain, _check_probabilities
 from .errors import ScenarioValidationError
 from .scenario import AxisSpec, LoadedScenario, SweepSpec
 from .sim import Scenario, _run_cells, make_policy
-from .stability import STABLE, _report, _stack_factors, current_csi_factor
-from .stability import delayed_csi_factor
-from .stability import max_plant_spectral_radius, verdict_for
+from .stability import STABLE, StabilityReport, _stack_factors, evaluate_current_csi
+from .stability import evaluate_delayed_csi, max_plant_spectral_radius, verdict_for
 
 _CHUNK_BYTES = 1 << 18  # bytes per chunk of cells: failure matrices or kernel arrays
 _CSV_BLOCK = 4096  # sweep rows formatted per write, so memory stays flat
@@ -275,37 +274,14 @@ def write_simulated_csv(
     _write_csv(path, header, columns, analytic.scenario_sha256)
 
 
-@dataclass(frozen=True)
-class CsiComparisonRow:
-    csi_mode: str
-    horizon: int | None
-    factor: float
-    rho_max_threshold: float  # largest rho_max the factor can stabilize
-    product: float
-    verdict: str
+def compare_csi(loaded: LoadedScenario, l_max: int) -> list[StabilityReport]:
+    """Current-CSI report, then delayed-CSI reports for L = 1..l_max (``BOUNDARY_BAND`` verdicts)."""
+    s = loaded.scenario
+    reports = [evaluate_current_csi(s.processes, s.chain)]
+    return reports + [evaluate_delayed_csi(s.processes, s.chain, el) for el in range(1, l_max + 1)]
 
 
-def compare_csi(loaded: LoadedScenario, l_max: int) -> list[CsiComparisonRow]:
-    """The current-CSI row, then delayed-CSI rows for L = 1..l_max (``BOUNDARY_BAND`` verdicts)."""
-    chain = loaded.scenario.chain
-    plant = max_plant_spectral_radius(loaded.scenario.processes)
-    reports = [_report(plant, *current_csi_factor(chain), "current")]
-    for el in range(1, l_max + 1):
-        reports.append(_report(plant, *delayed_csi_factor(chain, el), "delayed", el))
-    return [
-        CsiComparisonRow(
-            csi_mode=r.csi_mode,
-            horizon=r.horizon,
-            factor=r.factor,
-            rho_max_threshold=math.inf if r.factor == 0 else 1.0 / math.sqrt(r.factor),
-            product=r.product,
-            verdict=r.verdict,
-        )
-        for r in reports
-    ]
-
-
-def _csi_table(rows: list[CsiComparisonRow]) -> tuple[list[str], list[list]]:
+def _csi_table(rows: list[StabilityReport]) -> tuple[list[str], list[list]]:
     """Header and columns of the CSI comparison table."""
     header = ["csi_mode", "L", "factor", "rho_max_threshold", "product", "verdict"]
     columns = [

@@ -19,7 +19,7 @@ from remest import (
     sample_paths,
     stationary_distribution,
 )
-from remest.channel import _validate_chain
+from remest.channel import _validate_chain, frequency_ranking
 
 from conftest import bernoulli_channel, example_channel, random_semi_markov
 from oracles import (
@@ -287,6 +287,13 @@ class TestDropMatrixAndGreedy:
                     range(chain.num_frequencies), key=lambda m: (chain.drops[i, m], m)
                 )
                 assert got[i] == best + 1
+
+    def test_greedy_is_column_zero_of_ranking_on_ties(self, rng):
+        chain = build_cascaded_chain(random_semi_markov(rng, levels=(2, 2, 2), max_holding=3))
+        table = rng.choice([0.0, 0.5, 1.0], size=chain.drops.shape)  # most rows hold a tie
+        tied = chain.with_drops(table)
+        np.testing.assert_array_equal(greedy_selection(tied), frequency_ranking(table)[:, 0])
+        np.testing.assert_array_equal(greedy_selection(tied), np.argmin(table, axis=1) + 1)
 
     def test_selection_out_of_range(self):
         chain = build_cascaded_chain(bernoulli_channel(0.4))

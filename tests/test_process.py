@@ -195,6 +195,34 @@ class TestSpectralRadius:
             assert spectral_radius(x) == pytest.approx(want, rel=1e-8, abs=1e-10)
             assert spectral_radius(x) == pytest.approx(eig_spectral_radius(x), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_stack_matches_each_matrix_bit_for_bit(self, rng, n):
+        stack = rng.normal(size=(3, 4, n, n))
+        got = spectral_radius(stack)
+        assert got.shape == (3, 4)
+        want = [[spectral_radius(m) for m in row] for row in stack]
+        assert all(type(x) is float for row in want for x in row)  # 2-d input, a float
+        np.testing.assert_array_equal(got, want)
+
+    def test_batched_eigvals_failure_solves_each_matrix(self, rng, monkeypatch):
+        stack = rng.normal(size=(5, 3, 3))
+        want = spectral_radius(stack)
+        eigvals = np.linalg.eigvals
+        calls = []
+
+        def batched_fails(a):
+            calls.append(np.ndim(a))
+            if np.ndim(a) > 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", batched_fails)
+        np.testing.assert_array_equal(spectral_radius(stack), want)
+        assert calls == [3] + [2] * 5
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: batched_fails(np.stack([a])))
+        with pytest.raises(NonConvergentError):
+            spectral_radius(stack)
+
 
 class TestCostFunction:
     def test_first_step_is_definition(self):
@@ -287,7 +315,7 @@ class TestCostGrowthSandwich:
     @pytest.mark.parametrize("a", [1.0, 1.1, 1.5, 2.0])
     def test_lower_bound(self, a):
         cf = CostFunction(scalar_process(a))
-        rho = cf.plant_spectral_radius
+        rho = spectral_radius(cf.model.A)
         eta = cf.cost(1) / rho**2
         for i in range(1, 31):
             assert cf.cost(i) >= eta * rho ** (2 * i) * (1 - 1e-12)
@@ -295,7 +323,7 @@ class TestCostGrowthSandwich:
     @pytest.mark.parametrize("a", [1.45, 1.5, 1.7, 2.0, 3.0])
     def test_upper_bound_strongly_unstable(self, a):
         cf = CostFunction(scalar_process(a))
-        rho = cf.plant_spectral_radius
+        rho = spectral_radius(cf.model.A)
         kappa = cf.cost(1)
         for i in range(1, 31):
             assert cf.cost(i) <= kappa * (rho**2) ** i * (1 + 1e-12)

@@ -22,7 +22,7 @@ from remest.scenario import (
     load_scenario,
     parse_scenario_dict,
 )
-from remest.stability import verdict_for
+from remest.stability import StabilityReport, verdict_for
 from remest.sweep import (
     apply_axes,
     compare_csi,
@@ -355,6 +355,7 @@ class TestSweep:
     def test_compare_csi_ordering(self):
         loaded = load_bundled_scenario()
         rows = compare_csi(loaded, l_max=2)
+        assert all(isinstance(row, StabilityReport) for row in rows)
         lam = rows[0].factor
         assert rows[0].csi_mode == "current"
         for row in rows[1:]:

@@ -21,7 +21,8 @@ from remest import (
 )
 from remest import sim
 from remest.cli import _trace_observer, main
-from remest.sim import POLICIES, frequency_ranking, initial_state
+from remest.channel import frequency_ranking
+from remest.sim import POLICIES, initial_state
 
 from conftest import (
     bernoulli_channel,

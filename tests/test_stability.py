@@ -555,6 +555,39 @@ class TestCycleChain:
         )
         assert analysis.beta.sum() == pytest.approx(1.0, abs=1e-9)
 
+    # a cycle opens wherever a success lands, also in a state where every frequency drops
+    ALWAYS_DROPPING = {
+        "level-drops-1": (
+            [[0.2, 0.5, 0.3], [0.3, 0.2, 0.5], [0.5, 0.3, 0.2]],
+            {"level_drops": ((0.1, 0.4, 1.0),)},
+            (0, 1, 2),
+        ),
+        "periodic-opening-chain": (
+            [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+            {"state_drops": [[1.0], [0.0], [0.0]]},
+            (0, 2),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", ALWAYS_DROPPING.values(), ids=ALWAYS_DROPPING)
+    def test_always_dropping_states_open_cycles(self, case):
+        """beta is the law of a success's destination: pi S normalized, pi the channel's law.
+
+        The channel moves whatever the outcomes, so each slot opens a cycle in
+        state j with probability ``(pi S)_j``.
+        """
+        transition, drops, want_pre = case
+        model = SemiMarkovChannelModel(
+            levels_per_frequency=(3,), transition=transition, holding_pmf=[1.0], **drops
+        )
+        chain = build_cascaded_chain(model)
+        analysis = cycle_chain(chain)
+        assert analysis.pre_cycle_states == want_pre
+        pi = power_method_stationary(chain.transition, power=2**40)
+        opens = (pi @ analysis.success_step)[list(want_pre)]
+        np.testing.assert_allclose(analysis.beta, opens / opens.sum(), rtol=1e-12)
+        np.testing.assert_allclose(analysis.beta @ analysis.g_prime, analysis.beta, atol=1e-12)
+
     def test_cycle_pmf_matches_monte_carlo(self, rng):
         chain = build_cascaded_chain(example_channel(psi1=0.7))
         analysis = cycle_chain(chain)
