@@ -187,25 +187,35 @@ class SemiMarkovChannelModel:
         return table
 
 
+def _hazards(model: SemiMarkovChannelModel) -> tuple[np.ndarray, np.ndarray]:
+    """Per quality state and held time, the hazard and whether that time can occur.
+
+    ``pmf / tail`` is at most 1, and exactly 1 where the tail is its head alone;
+    a held time whose tail is empty never occurs and gets hazard 1, the forced jump.
+    """
+    pmf = model.holding_pmf
+    tail = np.stack([pmf[:, d:].sum(axis=1) for d in range(model.max_holding)], axis=1)
+    reachable = tail > 0.0
+    return np.divide(pmf, tail, out=np.ones_like(pmf), where=reachable), reachable
+
+
 def hazard(model: SemiMarkovChannelModel, state: int, delta: int) -> float:
     """Probability the holding period ends in the next slot.
 
-    Given the quality state has already been held ``delta`` slots, this is
-    ``pmf(delta) / sum(pmf(delta'), delta' >= delta)``.  Returns exactly 1.0
-    whenever the remaining tail mass sits entirely at ``delta``.
+    Given quality state ``state`` (in 0..m-1) has been held ``delta`` slots (in
+    1..max_holding), this is ``pmf(delta) / sum(pmf(delta'), delta' >= delta)``.
+    Returns exactly 1.0 whenever the remaining tail mass sits entirely at ``delta``.
     """
+    if not 0 <= state < model.num_quality_states:
+        raise ValueError(f"state must be in 0..{model.num_quality_states - 1}, got {state}")
     if not 1 <= delta <= model.max_holding:
         raise ValueError(f"delta must be in 1..{model.max_holding}, got {delta}")
-    row = model.holding_pmf[state]
-    tail = float(row[delta - 1 :].sum())
-    head = float(row[delta - 1])
-    if tail <= 0.0:
+    hazards, reachable = _hazards(model)
+    if not reachable[state, delta - 1]:
         raise UnreachableHoldingTimeError(
             f"holding time {delta} in quality state {state} has zero probability"
         )
-    if head == tail:
-        return 1.0
-    return min(1.0, head / tail)
+    return float(hazards[state, delta - 1])
 
 
 @dataclass(frozen=True)
@@ -219,7 +229,7 @@ class CascadedChain:
     they are kept so indexing matches num_quality_states * max_holding, and
     they receive no inbound probability.
 
-    Samplers invert ``_cum_rows``, the cumulative row sums set to +inf from
+    Samplers invert ``_cum_tuples``, the cumulative row sums set to +inf from
     each row's last positive column on: rows may sum to 1 - 1e-6, and a draw
     above the sum must land there, not on a zero-probability state.
     ``_stationary`` holds :func:`chain_stationary` once computed.  The
@@ -233,21 +243,16 @@ class CascadedChain:
     num_quality_states: int
     max_holding: int
     unreachable: frozenset[int] = frozenset()
-    _cum_rows: np.ndarray = field(default=None, repr=False, compare=False)
     _cum_tuples: tuple = field(default=None, repr=False, compare=False)
     _stationary: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._cum_rows is None:
+        if self._cum_tuples is None:
             n = self.transition.shape[1]
             last = n - 1 - np.argmax(self.transition[:, ::-1] > 0.0, axis=1)
             cum = np.cumsum(self.transition, axis=1)
             cum[np.arange(n) >= last[:, None]] = np.inf
-            object.__setattr__(self, "_cum_rows", cum)
-        if self._cum_tuples is None:
-            object.__setattr__(
-                self, "_cum_tuples", tuple(tuple(row) for row in self._cum_rows.tolist())
-            )
+            object.__setattr__(self, "_cum_tuples", tuple(map(tuple, cum.tolist())))
 
     @property
     def num_states(self) -> int:
@@ -319,31 +324,20 @@ def build_cascaded_chain(model: SemiMarkovChannelModel) -> CascadedChain:
     """
     m_bar = model.num_quality_states
     d_max = model.max_holding
-    m_til = m_bar * d_max
     states = tuple((q, d) for q in range(m_bar) for d in range(1, d_max + 1))
-    mtil = np.zeros((m_til, m_til))
-    unreachable = set()
-
-    for k, (q, delta) in enumerate(states):
-        tail = float(model.holding_pmf[q, delta - 1 :].sum())
-        if tail <= 0.0:
-            unreachable.add(k)
-            h = 1.0
-        else:
-            h = hazard(model, q, delta)
-        jump_cols = [j * d_max for j in range(m_bar)]  # all (j, 1) states
-        if h == 1.0:
-            mtil[k, jump_cols] = model.transition[q]  # exact copy, no arithmetic
-        else:
-            mtil[k, jump_cols] = model.transition[q] * h
-            mtil[k, k + 1] = 1.0 - h  # stay, holding time grows
+    h, reachable = _hazards(model)
+    mtil = np.zeros((m_bar, d_max, m_bar, d_max))
+    mtil[..., 0] = h[..., None] * model.transition[:, None, :]  # jump to (j, 1); T * 1.0 is T
+    q, d = np.ogrid[:m_bar, : d_max - 1]
+    mtil[q, d, q, d + 1] = 1.0 - h[:, :-1]  # stay, holding time grows; 0.0 where h is 1
+    mtil = mtil.reshape(m_bar * d_max, -1)
 
     if model.cascade_drops is not None:
         drops = model.cascade_drops.copy()
     else:
         drops = lift_quality_drops(model.quality_drop_table(), d_max)
 
-    _validate_chain(mtil, [k for k in range(m_til) if k not in unreachable])
+    _validate_chain(mtil, np.flatnonzero(reachable))
 
     return CascadedChain(
         states=states,
@@ -351,7 +345,7 @@ def build_cascaded_chain(model: SemiMarkovChannelModel) -> CascadedChain:
         drops=drops,
         num_quality_states=m_bar,
         max_holding=d_max,
-        unreachable=frozenset(unreachable),
+        unreachable=frozenset(np.flatnonzero(~reachable).tolist()),
     )
 
 
@@ -393,6 +387,14 @@ def drop_matrix(chain: CascadedChain, selection: np.ndarray) -> np.ndarray:
     return np.diag(chain.drops[np.arange(chain.num_states), sel - 1])
 
 
+def _check_starts(chain: CascadedChain, starts, name: str) -> None:
+    """Raise ValueError unless every entry of ``starts`` is a reachable cascaded state."""
+    for start in np.unique(starts).tolist():
+        if not 0 <= start < chain.num_states or start in chain.unreachable:
+            last = chain.num_states - 1
+            raise ValueError(f"{name} must be a reachable state in 0..{last}, got {start}")
+
+
 def _walk_path(chain: CascadedChain, start: int, uniforms: np.ndarray) -> list[int]:
     """``start`` and the state after each transition, one uniform per transition."""
     cum = chain._cum_tuples
@@ -410,9 +412,10 @@ def sample_path(
 ) -> np.ndarray:
     """State trajectory of ``num_steps`` transitions, including the start.
 
-    The uniforms are drawn as one block, which gives the same values as one
-    draw per transition.
+    ``start`` must be a reachable state.  The uniforms are drawn as one
+    block, which gives the same values as one draw per transition.
     """
+    _check_starts(chain, start, "start")
     return np.array(_walk_path(chain, start, rng.random(num_steps)))
 
 
@@ -424,14 +427,16 @@ def sample_paths(
 ) -> np.ndarray:
     """Vectorized trajectories for many independent replicas.
 
-    Returns an array of shape (len(starts), num_steps + 1).  Statistically
-    identical to :func:`sample_path` per replica; used when a large slot
-    budget must be sampled quickly.
+    Returns an array of shape (len(starts), num_steps + 1); every start must
+    be a reachable state.  Row r is :func:`sample_path`'s walk from
+    ``starts[r]`` along column r of one ``rng.random((num_steps, len(starts)))``
+    block; used when a large slot budget must be sampled quickly.
     """
+    _check_starts(chain, starts, "starts")
     states = np.asarray(starts, dtype=int).copy()
     out = np.empty((states.size, num_steps + 1), dtype=int)
     out[:, 0] = states
-    cum = chain._cum_rows
+    cum = np.array(chain._cum_tuples)
     for t in range(1, num_steps + 1):
         u = rng.random(states.size)
         states = np.sum(cum[states] <= u[:, None], axis=1)

@@ -55,6 +55,40 @@ class AxisSpec:
         return f"d_s{self.target}_f{self.frequency}"
 
 
+def _axis_masks(channel: SemiMarkovChannelModel, axes) -> list[np.ndarray]:
+    """Per axis, the boolean mask of the cascaded drop entries it sets: the one axis rule.
+
+    A ``level`` axis sets every holding time of each quality state whose
+    level on its frequency is the target; a ``cascade`` axis one entry.  Both
+    axes must share a kind, each must select at least one entry and the two
+    selections must be disjoint; otherwise :class:`ScenarioValidationError`
+    names the axis at its YAML path.
+    """
+    if axes[0].kind != axes[1].kind:
+        fault = f"kind {axes[1].kind!r} differs from axis 0's; both must share one drop table"
+        raise ScenarioValidationError(fault, "sweep.axes[1]")
+    levels = np.repeat(np.array(channel.quality_states), channel.max_holding, axis=0)
+    states = np.arange(len(levels))[:, None]
+    frequencies = np.arange(channel.num_frequencies)
+    masks = []
+    for i, ax in enumerate(axes):
+        target = levels == ax.target - 1 if ax.kind == "level" else states == ax.target
+        mask = (frequencies == ax.frequency - 1) & target
+        if not mask.any():
+            if not 1 <= ax.frequency <= channel.num_frequencies:
+                fault = f"frequency {ax.frequency} out of range 1..{channel.num_frequencies}"
+            elif ax.kind == "level":
+                fault = f"level {ax.target} out of range for frequency {ax.frequency}"
+            else:
+                fault = f"state {ax.target} out of range 0..{len(levels) - 1}"
+            raise ScenarioValidationError(fault, f"sweep.axes[{i}]")
+        masks.append(mask)
+    if (masks[0] & masks[1]).any():
+        fault = f"axes must target distinct drop entries, both set {axes[1].label}"
+        raise ScenarioValidationError(fault, "sweep.axes")
+    return masks
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     axes: tuple[AxisSpec, AxisSpec]
@@ -216,17 +250,14 @@ def _parse_channel_and_drops(channel_data, drops_data, path: str) -> SemiMarkovC
     )
 
 
-def _parse_sweep(
-    data, drops_kind: str, channel: SemiMarkovChannelModel, path: str
-) -> SweepSpec:
+def _parse_sweep(data, drops_kind: str, channel: SemiMarkovChannelModel) -> SweepSpec:
+    path = "sweep"  # the axis rule reports at sweep.axes too
     if not isinstance(data, dict):
         raise ScenarioValidationError("expected a mapping", path)
     _reject_unknown(data, {"axes", "grid"}, path)
     axes_raw = _require(data, "axes", path)
     if not isinstance(axes_raw, list) or len(axes_raw) != 2:
         raise ScenarioValidationError("expected exactly two axes", f"{path}.axes")
-    num_freq = channel.num_frequencies
-    num_cascaded = channel.num_quality_states * channel.max_holding
     axes = []
     for i, ax in enumerate(axes_raw):
         p = f"{path}.axes[{i}]"
@@ -243,12 +274,6 @@ def _parse_sweep(
             raise ScenarioValidationError(f"{key} axes require a {table} drop table", p)
         freq = _int_field(_require(ax, "frequency", p), f"{p}.frequency")
         target = _int_field(_require(ax, key, p), f"{p}.{key}", minimum=first)
-        if freq > num_freq:
-            raise ScenarioValidationError(f"frequency {freq} out of range 1..{num_freq}", p)
-        if kind == "level" and target > channel.levels_per_frequency[freq - 1]:
-            raise ScenarioValidationError(f"level {target} out of range for frequency {freq}", p)
-        if kind == "cascade" and target >= num_cascaded:
-            raise ScenarioValidationError(f"state {target} out of range 0..{num_cascaded - 1}", p)
         lo = _require(ax, "min", p)
         hi = _require(ax, "max", p)
         for name, v in (("min", lo), ("max", hi)):
@@ -257,12 +282,7 @@ def _parse_sweep(
         if not lo < hi:
             raise ScenarioValidationError("min must be strictly below max", p)
         axes.append(AxisSpec(kind=kind, frequency=freq, target=target, lo=float(lo), hi=float(hi)))
-    if (axes[0].kind, axes[0].frequency, axes[0].target) == (
-        axes[1].kind,
-        axes[1].frequency,
-        axes[1].target,
-    ):
-        raise ScenarioValidationError("axes must target distinct drop entries", f"{path}.axes")
+    _axis_masks(channel, axes)
     grid_raw = data.get("grid", [101, 101])
     if not isinstance(grid_raw, list) or len(grid_raw) != 2:
         raise ScenarioValidationError("expected [rows, cols]", f"{path}.grid")
@@ -305,11 +325,7 @@ def parse_scenario_dict(data: dict, sha256: str = "") -> LoadedScenario:
         scenario = Scenario(processes, costs, channel, build_cascaded_chain(channel))
     except Exception as exc:
         raise ScenarioValidationError(str(exc), "scenario") from exc
-    sweep = (
-        _parse_sweep(data["sweep"], drops_kind, channel, "sweep")
-        if "sweep" in data
-        else None
-    )
+    sweep = _parse_sweep(data["sweep"], drops_kind, channel) if "sweep" in data else None
     sim = _parse_sim(data.get("sim", {}), "sim")
     if not sha256:
         sha256 = hashlib.sha256(
@@ -334,11 +350,11 @@ def load_scenario(path) -> LoadedScenario:
     return parse_scenario_dict(data, sha256=sha)
 
 
-def bundled_scenario_path(name: str = BUNDLED_EXAMPLE):
-    """Filesystem path of a scenario shipped with the package."""
-    return resources.files("remest").joinpath("scenarios", f"{name}.yaml")
+def bundled_scenario_path():
+    """Filesystem path of the scenario shipped with the package."""
+    return resources.files("remest").joinpath("scenarios", f"{BUNDLED_EXAMPLE}.yaml")
 
 
-def load_bundled_scenario(name: str = BUNDLED_EXAMPLE) -> LoadedScenario:
-    with resources.as_file(bundled_scenario_path(name)) as p:
+def load_bundled_scenario() -> LoadedScenario:
+    with resources.as_file(bundled_scenario_path()) as p:
         return load_scenario(p)

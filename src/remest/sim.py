@@ -15,9 +15,9 @@ axis: the cells of a simulated sweep differ only in their drop tables, so
 they share one walk per seed, and a single run is the one-cell case.  Costs
 come from per-sensor AoI occupancy histograms, scored in log space when the
 linear value overflows, so diverging runs report growth rather than
-infinities.  One driver loops over the chunks for :func:`run` and for the
-cells of a simulated sweep alike; an optional observer sees each one-cell
-chunk of a run after it is tallied.  The CLI's slot trace and the
+infinities.  One driver, ``_drive``, is the engine's one chunk loop, for
+:func:`run` and a simulated sweep alike; an optional observer sees each
+one-cell chunk of a run after it is tallied.  The CLI's slot trace and the
 full-physics mode, which checks the per-age cost against the empirical
 squared error of simulated plants, are such observers.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channel import CascadedChain, SemiMarkovChannelModel, _walk_path
+from .channel import CascadedChain, SemiMarkovChannelModel, _check_starts, _walk_path
 from .channel import build_cascaded_chain, chain_stationary, frequency_ranking
 from .errors import InvalidActionError
 from .process import _LOG_MAX_FLOAT, CostFunction, ProcessModel
@@ -235,19 +235,12 @@ def initial_state(
     distribution of the cascaded chain (one extra RNG draw).  A given state
     must be a reachable one in ``0..S-1``.
     """
-    chain = scenario.chain
-    if initial_channel_state is not None and (
-        not 0 <= initial_channel_state < chain.num_states
-        or initial_channel_state in chain.unreachable
-    ):
-        raise ValueError(
-            f"initial_channel_state must be a reachable state in 0..{chain.num_states - 1},"
-            f" got {initial_channel_state}"
-        )
     rng = np.random.default_rng(seed)
     if initial_channel_state is None:
-        pi = chain_stationary(chain)
+        pi = chain_stationary(scenario.chain)
         initial_channel_state = int(rng.choice(len(pi), p=pi))
+    else:
+        _check_starts(scenario.chain, initial_channel_state, "initial_channel_state")
     return SimState(
         slot=1,
         aoi=np.ones(scenario.num_sensors, dtype=int),
@@ -324,23 +317,6 @@ def _advance(block: _Block, start: int, path: np.ndarray, uniforms: np.ndarray) 
     ages = slots - np.concatenate([before, latest[:, :-1]], axis=1)
     aoi[:] = start + k - latest[:, -1]
     return _Chunk(start=start, path=path, actions=actions, outcomes=outcomes, aoi=ages)
-
-
-def _chunks(state: SimState, scenario: Scenario, blocks, horizon: int, stops=()):
-    """Advance ``horizon`` slots in chunks, ending a chunk at every stop slot.
-
-    Each chunk walks the channel once, then yields ``(i, chunk)`` for every
-    block ``blocks[i]`` in turn, so one block's chunk arrays are alive at a time.
-    """
-    done = 0
-    for stop in sorted({c for c in stops if 1 <= c < horizon} | {horizon}):
-        while done < stop:
-            k = min(_CHUNK, stop - done)
-            start = state.slot
-            path, uniforms = _walk(state, scenario, k)
-            for i, block in enumerate(blocks):
-                yield i, _advance(block, start, path, uniforms)
-            done += k
 
 
 def step(
@@ -426,21 +402,30 @@ def _drive(
 ):
     """Advance ``blocks`` ``horizon`` slots; return their tallies and each cell's log totals.
 
-    Each chunk is tallied (with its cycle lengths if ``cycles``), then shown
-    to ``observer`` if given.  At every stop slot reached, each cell's log
-    total running-average cost is taken; the second result maps those slots
-    to arrays over all blocks' cells, in block order.
+    Chunks hold up to ``_CHUNK`` slots and end at every stop slot.  Each walks
+    the channel once, then advances the blocks in turn (one block's arrays
+    alive at a time); each block's chunk is tallied, with its cycle lengths if
+    ``cycles``, then shown to ``observer``.  At each stop slot reached, the
+    second result takes every cell's log total running-average cost, over all
+    blocks' cells in block order.
     """
     tallies = [_Tally(scenario, len(b.aoi), cycles) for b in blocks]
     logs: dict[int, list[np.ndarray]] = {}
-    for i, chunk in _chunks(state, scenario, blocks, horizon, stops):
-        tallies[i].add(chunk)
-        if observer is not None:
-            observer(chunk)
-        end = state.slot - 1
-        if end in stops:
-            total = np.logaddexp.reduce(tallies[i].log_costs(end), axis=1)
-            logs.setdefault(end, []).append(total)
+    done = 0
+    for stop in sorted({c for c in stops if 1 <= c < horizon} | {horizon}):
+        while done < stop:
+            k = min(_CHUNK, stop - done)
+            start = state.slot
+            path, uniforms = _walk(state, scenario, k)
+            done += k
+            for tally, block in zip(tallies, blocks):
+                chunk = _advance(block, start, path, uniforms)
+                tally.add(chunk)
+                if observer is not None:
+                    observer(chunk)
+                if done in stops:
+                    total = np.logaddexp.reduce(tally.log_costs(done), axis=1)
+                    logs.setdefault(done, []).append(total)
     return tallies, {end: np.concatenate(parts) for end, parts in logs.items()}
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .channel import CascadedChain, _check_probabilities
 from .errors import ScenarioValidationError
-from .scenario import AxisSpec, LoadedScenario, SweepSpec
+from .scenario import AxisSpec, LoadedScenario, SweepSpec, _axis_masks
 from .sim import Scenario, _run_cells, make_policy
 from .stability import STABLE, StabilityReport, _stack_factors, evaluate_current_csi
 from .stability import evaluate_delayed_csi, max_plant_spectral_radius, verdict_for
@@ -37,27 +37,8 @@ _CHUNK_BYTES = 1 << 18  # bytes per chunk of cells: failure matrices or kernel a
 _CSV_BLOCK = 4096  # sweep rows formatted per write, so memory stays flat
 
 
-def _axis_masks(scenario: Scenario, axes: tuple[AxisSpec, AxisSpec]) -> list[np.ndarray]:
-    """Per axis, the boolean mask of the cascaded drop entries it sets.
-
-    A ``level`` axis sets every holding time of each quality state whose
-    level on its frequency is the target; a ``cascade`` axis one entry.
-    """
-    if axes[0].kind != axes[1].kind:
-        raise ValueError("sweep axes must share one drop-table granularity")
-    chain = scenario.chain
-    levels = np.repeat(np.array(scenario.channel.quality_states), chain.max_holding, axis=0)
-    states = np.arange(chain.num_states)[:, None]
-    frequencies = np.arange(chain.num_frequencies)
-    return [
-        (frequencies == ax.frequency - 1)
-        & (levels == ax.target - 1 if ax.kind == "level" else states == ax.target)
-        for ax in axes
-    ]
-
-
 def _cell_drops(drops: np.ndarray, masks, values1: np.ndarray, values2: np.ndarray) -> np.ndarray:
-    """One copy of ``drops`` per cell, each axis mask set to the cell's value (axis 2 wins)."""
+    """One copy of ``drops`` per cell, each (disjoint) axis mask set to the cell's value."""
     first = np.where(masks[0], values1[:, None, None], drops)
     return np.where(masks[1], values2[:, None, None], first)
 
@@ -67,7 +48,7 @@ def apply_axes(
 ) -> CascadedChain:
     """The scenario's cascaded chain with the axis drop entries overridden: one cell."""
     v1, v2 = np.array([values], dtype=float).T
-    drops = _cell_drops(scenario.chain.drops, _axis_masks(scenario, axes), v1, v2)
+    drops = _cell_drops(scenario.chain.drops, _axis_masks(scenario.channel, axes), v1, v2)
     return scenario.chain.with_drops(drops[0])
 
 
@@ -113,7 +94,7 @@ def sweep_stability(loaded: LoadedScenario, grid: tuple[int, int] | None = None)
     _check_probabilities(np.concatenate([values1, values2]), "sweep axis values")
     scenario = loaded.scenario
     rho_max, _ = max_plant_spectral_radius(scenario.processes)
-    masks = _axis_masks(scenario, spec.axes)
+    masks = _axis_masks(scenario.channel, spec.axes)
     chain = scenario.chain
 
     cell_v1 = np.repeat(values1, cols)

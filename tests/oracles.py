@@ -26,7 +26,9 @@ implementations of the three scheduling policies for it to drive;
 ``sample_next``, its one-draw channel step, inverts the production chain's
 cumulative rows; ``reference_trace``, the reference for ``simulate --trace``,
 formats ``reference_run``'s slot records one f-string row at a time through
-``format_trace``.
+``format_trace``.  ``reference_cascaded_chain``, the reference for the
+cascaded chain's one hazard table, is the per-state build loop with each
+hazard from its own row's tail sum (``reference_hazard``).
 """
 
 from __future__ import annotations
@@ -456,6 +458,41 @@ class CostAccumulator:
 
     def log_average(self, horizon: int) -> float:
         return self.log_total - math.log(horizon)
+
+
+def reference_hazard(model, state: int, delta: int) -> float | None:
+    """One hazard from its row's tail sum, as the per-state build took it; None if unreachable."""
+    row = model.holding_pmf[state]
+    tail = float(row[delta - 1 :].sum())
+    head = float(row[delta - 1])
+    if tail <= 0.0:
+        return None
+    return 1.0 if head == tail else min(1.0, head / tail)
+
+
+def reference_cascaded_chain(model) -> tuple[np.ndarray, frozenset]:
+    """Transition matrix and unreachable states of the cascaded chain, built state by state.
+
+    An unreachable state gets hazard 1, the forced jump; a hazard of exactly 1
+    copies the quality row with no arithmetic and no stay entry.
+    """
+    m_bar, d_max = model.num_quality_states, model.max_holding
+    mtil = np.zeros((m_bar * d_max, m_bar * d_max))
+    jump_cols = [j * d_max for j in range(m_bar)]  # all (j, 1) states
+    unreachable = set()
+    for q in range(m_bar):
+        for delta in range(1, d_max + 1):
+            k = q * d_max + delta - 1
+            h = reference_hazard(model, q, delta)
+            if h is None:
+                unreachable.add(k)
+                h = 1.0
+            if h == 1.0:
+                mtil[k, jump_cols] = model.transition[q]
+            else:
+                mtil[k, jump_cols] = model.transition[q] * h
+                mtil[k, k + 1] = 1.0 - h
+    return mtil, frozenset(unreachable)
 
 
 def sample_next(chain, current: int, rng) -> int:

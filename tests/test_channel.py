@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,17 +21,45 @@ from remest import (
     sample_paths,
     stationary_distribution,
 )
-from remest.channel import _validate_chain, frequency_ranking
+from remest.channel import _validate_chain, _walk_path, frequency_ranking
 
 from conftest import bernoulli_channel, example_channel, random_semi_markov
 from oracles import (
     cascaded_index,
     harvest_holding_periods,
     power_method_stationary,
+    reference_cascaded_chain,
+    reference_hazard,
     sample_next,
     semi_markov_slot_states,
     tv_distance,
 )
+
+
+def holding_models(rng) -> list[SemiMarkovChannelModel]:
+    """Random models with D 1..16 and m 1..4, the bundled model and a long-holding one.
+
+    The random holding pmfs have interior and trailing zeros, and every
+    transition and holding row is scaled off a unit sum by 0 or 9e-7, inside
+    the 1e-6 tolerance.  Each first holding slot stays possible and every
+    quality row positive, so every chain is irreducible and aperiodic.
+    """
+    bundled = load_bundled_scenario().scenario.channel
+    long_pmf = [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05]
+    models = [bundled, replace(bundled, holding_pmf=np.array(long_pmf))]
+    for d_max in range(1, 17):
+        for levels in ((1,), (2,), (3,), (2, 2), (4,)):
+            m_bar = int(np.prod(levels))
+            pmf = rng.uniform(0.05, 1.0, size=(m_bar, d_max))
+            pmf[:, 1:] *= rng.random((m_bar, d_max - 1)) < 0.6
+            transition = rng.uniform(0.05, 1.0, size=(m_bar, m_bar))
+            rows = []
+            for table in (transition, pmf):
+                table /= table.sum(axis=1, keepdims=True)
+                rows.append(table * (1.0 + rng.choice([-9e-7, 0.0, 9e-7], size=(m_bar, 1))))
+            drops = tuple(tuple(rng.uniform(0.0, 1.0, size=k)) for k in levels)
+            models.append(SemiMarkovChannelModel(levels, *rows, level_drops=drops))
+    return models
 
 
 class TestModelValidation:
@@ -124,6 +154,24 @@ class TestHazard:
         with pytest.raises(UnreachableHoldingTimeError):
             hazard(ch, 0, 2)
 
+    def test_state_out_of_range_rejected(self):
+        # -1 used to wrap to the last quality state and 4 to raise a bare IndexError
+        model = load_bundled_scenario().scenario.channel
+        for state in (-1, model.num_quality_states):
+            with pytest.raises(ValueError, match=r"state must be in 0\.\.3, got"):
+                hazard(model, state, 1)
+
+    def test_matches_tail_sum_reference_bit_for_bit(self, rng):
+        for model in holding_models(rng):
+            for state in range(model.num_quality_states):
+                for delta in range(1, model.max_holding + 1):
+                    want = reference_hazard(model, state, delta)
+                    if want is None:
+                        with pytest.raises(UnreachableHoldingTimeError):
+                            hazard(model, state, delta)
+                    else:
+                        assert hazard(model, state, delta) == want
+
     def test_telescoping_reconstructs_pmf(self, rng):
         for _ in range(20):
             ch = random_semi_markov(rng, levels=(2, 2), max_holding=4)
@@ -196,6 +244,18 @@ class TestBuildCascadedChain:
         assert chain.unreachable == {k}
         assert np.all(chain.transition[:, k] == 0.0)
         np.testing.assert_allclose(chain.transition.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_matches_per_state_reference_bit_for_bit(self, rng):
+        models = holding_models(rng)
+        pmfs = [m.holding_pmf for m in models]
+        # the fixtures hold unreachable states and zero hazards before the last slot
+        assert any(np.any(p[:, -1] == 0.0) for p in pmfs)
+        assert any(np.any((p[:, 1:-1] == 0.0) & (p[:, -1:] > 0.0)) for p in pmfs)
+        for model in models:
+            chain = build_cascaded_chain(model)
+            transition, unreachable = reference_cascaded_chain(model)
+            assert np.array_equal(chain.transition, transition)
+            assert chain.unreachable == unreachable
 
     def test_periodic_quality_chain_rejected(self):
         ch = SemiMarkovChannelModel(
@@ -341,6 +401,38 @@ class TestSampling:
         assert sample_next(chain, 0, StubRng()) == last_positive
         paths = sample_paths(chain, np.zeros(3, dtype=int), 1, StubRng())
         np.testing.assert_array_equal(paths[:, 1], last_positive)
+
+    def test_sample_paths_walk_columns_of_one_block(self, rng):
+        models = [random_semi_markov(rng, levels=(2, 2), max_holding=3), *holding_models(rng)[::9]]
+        for model in models:
+            chain = build_cascaded_chain(model)
+            reachable = [k for k in range(chain.num_states) if k not in chain.unreachable]
+            starts = rng.choice(reachable, size=7)
+            seed = int(rng.integers(1 << 30))
+            paths = sample_paths(chain, starts, 300, np.random.default_rng(seed))
+            block = np.random.default_rng(seed).random((300, len(starts)))
+            for r, start in enumerate(starts):
+                assert paths[r].tolist() == _walk_path(chain, int(start), block[:, r])
+        assert any(build_cascaded_chain(m).unreachable for m in models)
+
+    def test_samplers_reject_starts_outside_the_chain(self, rng):
+        # -1 used to walk from the last state's row and S to raise a bare IndexError
+        bundled = load_bundled_scenario().scenario.chain
+        short = build_cascaded_chain(
+            SemiMarkovChannelModel(
+                levels_per_frequency=(2,),
+                transition=[[0.4, 0.6], [0.5, 0.5]],
+                holding_pmf=[[1.0, 0.0], [0.6, 0.4]],  # quality 0 never holds 2 slots
+                level_drops=((0.2, 0.7),),
+            )
+        )
+        cases = [(bundled, bad) for bad in (-1, -2, 8)] + [(short, cascaded_index(short, 0, 2))]
+        for chain, bad in cases:
+            wanted = rf"must be a reachable state in 0\.\.{chain.num_states - 1}, got {bad}"
+            with pytest.raises(ValueError, match="start " + wanted):
+                sample_path(chain, bad, 5, rng)
+            with pytest.raises(ValueError, match="starts " + wanted):
+                sample_paths(chain, np.array([0, bad, 1]), 5, rng)
 
     def test_empirical_frequencies_binomial(self, rng):
         chain = build_cascaded_chain(example_channel(psi1=0.6))

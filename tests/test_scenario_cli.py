@@ -1,6 +1,6 @@
 import math
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,6 +17,8 @@ from remest import sim
 from remest.cli import main
 from remest.scenario import (
     _FIELD_PATHS,
+    AxisSpec,
+    SweepSpec,
     bundled_scenario_path,
     load_bundled_scenario,
     load_scenario,
@@ -264,6 +266,55 @@ class TestSweep:
         assert chain.drops[0, 0] == 0.25  # level 1 of frequency 1 at quality (0, 0)
         assert chain.drops[cascaded_index(chain, 2, 1), 0] == 0.75  # level 2 states
         np.testing.assert_array_equal(chain.drops[:, 1], loaded.scenario.chain.drops[:, 1])
+
+    # hand-built axis pairs that break the loader's axis rule, with the axis the error names
+    BAD_AXES = {
+        "frequency-and-level-out-of-range": (
+            (AxisSpec("level", 5, 1, 0, 1), AxisSpec("level", 1, 9, 0, 1)),
+            r"sweep\.axes\[0\]: frequency 5 out of range",
+        ),
+        "level-out-of-range": (
+            (AxisSpec("level", 1, 1, 0, 1), AxisSpec("level", 2, 3, 0, 1)),
+            r"sweep\.axes\[1\]: level 3 out of range",
+        ),
+        "level-zero": (
+            (AxisSpec("level", 1, 0, 0, 1), AxisSpec("level", 2, 1, 0, 1)),
+            r"sweep\.axes\[0\]: level 0 out of range",
+        ),
+        "state-out-of-range": (
+            (AxisSpec("cascade", 1, 0, 0, 1), AxisSpec("cascade", 2, 8, 0, 1)),
+            r"sweep\.axes\[1\]: state 8 out of range 0\.\.7",
+        ),
+        "negative-state": (
+            (AxisSpec("cascade", 1, -1, 0, 1), AxisSpec("cascade", 2, 0, 0, 1)),
+            r"sweep\.axes\[0\]: state -1 out of range",
+        ),
+        "same-level-entry": (
+            (AxisSpec("level", 1, 2, 0, 1), AxisSpec("level", 1, 2, 0.5, 1)),
+            r"sweep\.axes: axes must target distinct drop entries, both set d_f1_l2",
+        ),
+        "same-state-entry": (
+            (AxisSpec("cascade", 2, 3, 0, 1), AxisSpec("cascade", 2, 3, 0, 1)),
+            r"sweep\.axes: .*distinct.*d_s3_f2",
+        ),
+        "mixed-kinds": (
+            (AxisSpec("level", 1, 1, 0, 1), AxisSpec("cascade", 2, 3, 0, 1)),
+            r"sweep\.axes\[1\]: kind 'cascade' differs",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_AXES))
+    def test_hand_built_axes_obey_the_loader_rule(self, case):
+        # unchecked, the first pair swept a constant 3x3 grid and a shared entry let axis 2 win
+        axes, match = self.BAD_AXES[case]
+        loaded = load_bundled_scenario()
+        bad = replace(loaded, sweep=SweepSpec(axes, (3, 3)))
+        with pytest.raises(ScenarioValidationError, match=match):
+            sweep_stability(bad)
+        with pytest.raises(ScenarioValidationError, match=match):
+            sweep_simulated(bad, horizon=10, seeds=(1,))
+        with pytest.raises(ScenarioValidationError, match=match):
+            apply_axes(loaded.scenario, axes, (0.5, 0.5))
 
     def test_verdicts_recomputable_from_recorded_values(self):
         loaded = load_bundled_scenario()
