@@ -270,18 +270,6 @@ class CascadedChain:
         return replace(self, drops=drops)  # shares the sampling tables and pi
 
 
-def lift_quality_drops(
-    quality_table: np.ndarray, max_holding: int
-) -> np.ndarray:
-    """Expand a per-quality-state drop table to cascaded states.
-
-    The drop probability of a cascaded state is that of its quality state at
-    every holding time.
-    """
-    quality_table = _as_matrix(quality_table, "quality drop table")
-    return np.repeat(quality_table, max_holding, axis=0)
-
-
 def _bfs_levels(adj: np.ndarray) -> np.ndarray:
     """Breadth-first distance from node 0 along ``adj``; -1 where unreached."""
     level = np.full(adj.shape[0], -1)
@@ -335,7 +323,7 @@ def build_cascaded_chain(model: SemiMarkovChannelModel) -> CascadedChain:
     if model.cascade_drops is not None:
         drops = model.cascade_drops.copy()
     else:
-        drops = lift_quality_drops(model.quality_drop_table(), d_max)
+        drops = np.repeat(model.quality_drop_table(), d_max, axis=0)  # same at every held time
 
     _validate_chain(mtil, np.flatnonzero(reachable))
 
@@ -388,9 +376,11 @@ def drop_matrix(chain: CascadedChain, selection: np.ndarray) -> np.ndarray:
 
 
 def _check_starts(chain: CascadedChain, starts, name: str) -> None:
-    """Raise ValueError unless every entry of ``starts`` is a reachable cascaded state."""
-    for start in np.unique(starts).tolist():
-        if not 0 <= start < chain.num_states or start in chain.unreachable:
+    """Raise ValueError unless ``starts`` holds integers that are reachable cascaded states."""
+    starts = np.asarray(starts)
+    integral = starts.dtype.kind in "iu"  # 2.0 is rejected too, not truncated
+    for start in (np.unique(starts) if integral else starts.ravel()[:1]).tolist():
+        if not integral or not 0 <= start < chain.num_states or start in chain.unreachable:
             last = chain.num_states - 1
             raise ValueError(f"{name} must be a reachable state in 0..{last}, got {start}")
 
@@ -425,23 +415,18 @@ def sample_paths(
     num_steps: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Vectorized trajectories for many independent replicas.
+    """Trajectories of many independent replicas.
 
     Returns an array of shape (len(starts), num_steps + 1); every start must
     be a reachable state.  Row r is :func:`sample_path`'s walk from
     ``starts[r]`` along column r of one ``rng.random((num_steps, len(starts)))``
-    block; used when a large slot budget must be sampled quickly.
+    block.
     """
     _check_starts(chain, starts, "starts")
-    states = np.asarray(starts, dtype=int).copy()
-    out = np.empty((states.size, num_steps + 1), dtype=int)
-    out[:, 0] = states
-    cum = np.array(chain._cum_tuples)
-    for t in range(1, num_steps + 1):
-        u = rng.random(states.size)
-        states = np.sum(cum[states] <= u[:, None], axis=1)
-        out[:, t] = states
-    return out
+    starts = np.asarray(starts, dtype=int)
+    block = rng.random((num_steps, starts.size))
+    paths = [_walk_path(chain, start, u) for start, u in zip(starts.tolist(), block.T)]
+    return np.array(paths, dtype=int).reshape(starts.size, num_steps + 1)
 
 
 def chain_stationary(chain: CascadedChain) -> np.ndarray:

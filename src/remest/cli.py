@@ -43,10 +43,6 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
-def _seed(text: str) -> int:
-    return _int_at_least(text, 0)
-
-
 def _parse_grid(text: str) -> tuple[int, int]:
     try:
         rows, cols = text.lower().split("x")
@@ -59,7 +55,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _parse_seeds(text: str) -> tuple[int, ...]:
-    return tuple(_seed(s) for s in text.split(","))
+    return tuple(_int_at_least(s, 0) for s in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_scenario(p_sim)
     p_sim.add_argument("--out", default=None, help="summary CSV path (default: stdout table)")
     p_sim.add_argument("--horizon", type=_positive_int, default=None)
-    p_sim.add_argument("--seed", type=_seed, default=None, help="single seed (overrides --seeds)")
     p_sim.add_argument("--seeds", type=_parse_seeds, default=None, help="comma-separated seeds")
     p_sim.add_argument("--policy", choices=sorted(POLICIES), default=None)
     p_sim.add_argument(
@@ -214,16 +209,10 @@ def _cmd_simulate(args) -> int:
     scenario = loaded.scenario
     sim_spec = loaded.sim
     horizon = sim_spec.horizon if args.horizon is None else args.horizon
-    if args.seed is not None:
-        seeds = (args.seed,)
-    else:
-        seeds = sim_spec.seeds if args.seeds is None else args.seeds
+    seeds = sim_spec.seeds if args.seeds is None else args.seeds
     policy_name = args.policy or sim_spec.policy
 
     if args.sweep_grid is not None:
-        if not args.out:
-            print("--out is required with --sweep-grid", file=sys.stderr)
-            return EXIT_SCENARIO
         with _open_csv(args.out) as out:
             analytic, cells = sweep_simulated(
                 loaded, grid=args.sweep_grid, horizon=horizon, seeds=seeds, policy_name=policy_name
@@ -285,6 +274,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "simulate" and args.sweep_grid and (args.full_physics or args.trace):
         parser.error("simulate: --sweep-grid cannot be combined with --full-physics or --trace")
+    if args.command == "simulate" and args.sweep_grid and not args.out:
+        parser.error("simulate: --out is required with --sweep-grid")
     if args.command == "simulate" and args.full_physics and args.trace:
         parser.error("simulate: --full-physics records no slot trace; drop --trace")
     try:

@@ -382,7 +382,7 @@ def cycle_chain(chain: CascadedChain, tol_tail: float = 1e-12) -> CycleAnalysis:
     min_drop = chain.drops.min(axis=1)
     fail = min_drop[:, None] * chain.transition  # V(v*) T, bit for bit
     success = (1.0 - min_drop)[:, None] * chain.transition  # (I - V(v*)) T
-    rho_fail = float(_stack_factors(chain.drops[None], chain)[0])
+    rho_fail, selection = current_csi_factor(chain)
     if rho_fail >= 1.0:
         raise DivergentSeriesError(
             f"failure-step spectral radius {rho_fail} >= 1; cycle statistics undefined"
@@ -409,7 +409,7 @@ def cycle_chain(chain: CascadedChain, tol_tail: float = 1e-12) -> CycleAnalysis:
         fail_step=fail,
         success_step=success,
         fail_radius=rho_fail,
-        selection=greedy_selection(chain),
+        selection=selection,
     )
 
 

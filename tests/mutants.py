@@ -1,0 +1,112 @@
+"""Mutant catalogue: each entry breaks one decision in ``src/`` and names the tests that catch it.
+
+Run from anywhere::
+
+    python tests/mutants.py
+
+For each mutant the script copies ``src/`` to a temporary directory, replaces
+the mutant's exact old text with its new text in that copy, and runs the
+mutant's test node ids with ``pytest -x -q`` against the copy.  It exits 1 if
+a mutant's old text does not occur exactly once in its file (the catalogue
+has fallen behind the code) or if the tests still pass on the mutated copy
+(the mutant survives).  The same node ids must first pass on an unmutated
+copy, so that a failure is the mutant's doing.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "channel walk steps from the start's row",
+        "remest/channel.py",
+        "state = bisect_right(cum[state], u)",
+        "state = bisect_right(cum[start], u)",
+        ("tests/test_channel.py::TestSampling::test_sample_paths_walk_columns_of_one_block",),
+    ),
+    Mutant(
+        "start states are not checked to be integers",
+        "remest/channel.py",
+        'integral = starts.dtype.kind in "iu"',
+        "integral = True",
+        (
+            "tests/test_channel.py::TestSampling::test_samplers_reject_starts_outside_the_chain",
+            "tests/test_sim.py::TestRun::test_initial_channel_state_checked",
+        ),
+    ),
+    Mutant(
+        "persistent-serial counts the current slot's success",
+        "remest/sim.py",
+        "np.cumsum(hit, axis=1) - hit)",
+        "np.cumsum(hit, axis=1))",
+        ("tests/test_sim.py::TestPolicies::test_persistent_serial_advances_in_index_order",),
+    ),
+    Mutant(
+        "unreachable held times get hazard 0",
+        "remest/channel.py",
+        "out=np.ones_like(pmf)",
+        "out=np.zeros_like(pmf)",
+        ("tests/test_channel.py::TestBuildCascadedChain::test_matches_per_state_reference_bit_for_bit",),
+    ),
+)
+
+
+def _copy_src(dest: Path) -> Path:
+    src = dest / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def _tests_pass(src: Path, tests) -> bool:
+    """Whether ``tests`` pass with ``src`` as the package source."""
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "-o", f"pythonpath={src}", *tests]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    quiet = subprocess.DEVNULL
+    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=quiet, stderr=quiet).returncode == 0
+
+
+def main() -> int:
+    faults = []
+    with tempfile.TemporaryDirectory() as tmp:
+        every_test = sorted({t for m in MUTANTS for t in m.tests})
+        if not _tests_pass(_copy_src(Path(tmp, "unmutated")), every_test):
+            print("the catalogue's tests fail on the unmutated source", file=sys.stderr)
+            return 1
+        for k, mutant in enumerate(MUTANTS):
+            src = _copy_src(Path(tmp, str(k)))
+            path = src / mutant.file
+            text = path.read_text()
+            if text.count(mutant.old) != 1:
+                verdict = "STALE: old text not found exactly once"
+            else:
+                path.write_text(text.replace(mutant.old, mutant.new))
+                verdict = "SURVIVED" if _tests_pass(src, mutant.tests) else "caught"
+            print(f"{verdict}  {mutant.file}: {mutant.name}")
+            if verdict != "caught":
+                faults.append(mutant.name)
+    print(f"{len(MUTANTS) - len(faults)}/{len(MUTANTS)} mutants caught")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -212,7 +212,6 @@ def per_cell_sweep_factors(loaded, grid: tuple[int, int]) -> np.ndarray:
     Level axes rewrite the channel model's per-level table and re-lift it to
     the cascaded states; cascade axes overwrite single cascaded entries.
     """
-    from remest.channel import lift_quality_drops
     from remest.stability import current_csi_factor
 
     scenario = loaded.scenario
@@ -227,7 +226,7 @@ def per_cell_sweep_factors(loaded, grid: tuple[int, int]) -> np.ndarray:
                 for ax, v in zip(axes, (v1, v2)):
                     table[ax.frequency - 1][ax.target - 1] = float(v)
                 model = replace(channel, level_drops=tuple(tuple(r) for r in table))
-                drops = lift_quality_drops(model.quality_drop_table(), channel.max_holding)
+                drops = np.repeat(model.quality_drop_table(), channel.max_holding, axis=0)
             else:
                 drops = chain.drops.copy()
                 for ax, v in zip(axes, (v1, v2)):
@@ -498,6 +497,25 @@ def reference_cascaded_chain(model) -> tuple[np.ndarray, frozenset]:
 def sample_next(chain, current: int, rng) -> int:
     """Draw the next cascaded state from the row of the current one, one uniform per draw."""
     return bisect_right(chain._cum_tuples[current], rng.random())
+
+
+def reference_sample_paths(chain, starts, num_steps: int, rng) -> np.ndarray:
+    """Replica walks by counting, at each step, the cumulative row entries at or below the draw.
+
+    The cumulative table is built here from ``chain.transition``, +inf from each
+    row's last positive column on, so a draw above a short row sum lands on that
+    column.  Step t of replica r uses entry (t, r) of one
+    ``rng.random((num_steps, len(starts)))`` block.
+    """
+    cum = np.cumsum(chain.transition, axis=1)
+    for i, row in enumerate(chain.transition):
+        cum[i, np.flatnonzero(row > 0.0)[-1]:] = np.inf
+    states = np.asarray(starts, dtype=int)
+    columns = [states]
+    for u in rng.random((num_steps, states.size)):
+        states = np.sum(cum[states] <= u[:, None], axis=1)
+        columns.append(states)
+    return np.stack(columns, axis=1)
 
 
 # one slot as the reference loop sees it: actions, outcomes, pre-transmission

@@ -21,7 +21,7 @@ from remest import (
     sample_paths,
     stationary_distribution,
 )
-from remest.channel import _validate_chain, _walk_path, frequency_ranking
+from remest.channel import _validate_chain, frequency_ranking
 
 from conftest import bernoulli_channel, example_channel, random_semi_markov
 from oracles import (
@@ -30,6 +30,7 @@ from oracles import (
     power_method_stationary,
     reference_cascaded_chain,
     reference_hazard,
+    reference_sample_paths,
     sample_next,
     semi_markov_slot_states,
     tv_distance,
@@ -403,17 +404,37 @@ class TestSampling:
         np.testing.assert_array_equal(paths[:, 1], last_positive)
 
     def test_sample_paths_walk_columns_of_one_block(self, rng):
+        # bit for bit against the counting reference, on draws as drawn and on
+        # draws above 0.9 moved past every short row sum
+        short = SemiMarkovChannelModel(
+            levels_per_frequency=(3,),
+            transition=np.array([[0.5, 0.5, 0.0], [0.3, 0.3, 0.4], [0.2, 0.0, 0.8]]) * (1 - 9e-7),
+            holding_pmf=[1.0],
+            level_drops=((0.1, 0.2, 0.3),),
+        )
         models = [random_semi_markov(rng, levels=(2, 2), max_holding=3), *holding_models(rng)[::9]]
+        models.append(short)
+
+        class HighDraws:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def random(self, size):
+                u = self.rng.random(size)
+                return np.where(u > 0.9, 1.0 - 1e-7, u)
+
         for model in models:
             chain = build_cascaded_chain(model)
             reachable = [k for k in range(chain.num_states) if k not in chain.unreachable]
             starts = rng.choice(reachable, size=7)
             seed = int(rng.integers(1 << 30))
-            paths = sample_paths(chain, starts, 300, np.random.default_rng(seed))
-            block = np.random.default_rng(seed).random((300, len(starts)))
-            for r, start in enumerate(starts):
-                assert paths[r].tolist() == _walk_path(chain, int(start), block[:, r])
+            for make_rng in (np.random.default_rng, HighDraws):
+                want = reference_sample_paths(chain, starts, 300, make_rng(seed))
+                assert np.array_equal(sample_paths(chain, starts, 300, make_rng(seed)), want)
+                want = reference_sample_paths(chain, starts[:1], 300, make_rng(seed))[0]
+                assert np.array_equal(sample_path(chain, starts[0], 300, make_rng(seed)), want)
         assert any(build_cascaded_chain(m).unreachable for m in models)
+        np.testing.assert_allclose(build_cascaded_chain(short).transition.sum(axis=1), 1 - 9e-7)
 
     def test_samplers_reject_starts_outside_the_chain(self, rng):
         # -1 used to walk from the last state's row and S to raise a bare IndexError
@@ -426,13 +447,17 @@ class TestSampling:
                 level_drops=((0.2, 0.7),),
             )
         )
-        cases = [(bundled, bad) for bad in (-1, -2, 8)] + [(short, cascaded_index(short, 0, 2))]
+        # a start of float dtype is rejected, not truncated
+        cases = [(bundled, bad) for bad in (-1, -2, 8, 1.7, 2.0)]
+        cases.append((short, cascaded_index(short, 0, 2)))
         for chain, bad in cases:
             wanted = rf"must be a reachable state in 0\.\.{chain.num_states - 1}, got {bad}"
             with pytest.raises(ValueError, match="start " + wanted):
                 sample_path(chain, bad, 5, rng)
             with pytest.raises(ValueError, match="starts " + wanted):
-                sample_paths(chain, np.array([0, bad, 1]), 5, rng)
+                sample_paths(chain, np.array([bad, 0, 1]), 5, rng)
+        assert sample_path(bundled, np.int64(2), 5, rng)[0] == 2
+        assert sample_paths(bundled, np.array([2], dtype=np.int32), 5, rng)[0, 0] == 2
 
     def test_empirical_frequencies_binomial(self, rng):
         chain = build_cascaded_chain(example_channel(psi1=0.6))

@@ -518,6 +518,12 @@ class TestCli:
         assert lines[2].startswith("seed,horizon,policy,J_total")
         assert len(lines) == 3 + 2
 
+    def test_simulate_seed_is_a_prefix_of_seeds(self, tmp_path):
+        outs = [tmp_path / "seed.csv", tmp_path / "seeds.csv"]
+        for flag, out in zip(["--seed", "--seeds"], outs):
+            assert main(["simulate", "--horizon", "300", flag, "7", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_simulate_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
         code = main(
@@ -664,11 +670,15 @@ class TestCli:
 
     def test_simulate_sweep_grid_requires_out_before_simulating(self, monkeypatch, capsys):
         def never(*args, **kwargs):
-            raise AssertionError("sweep_simulated called without --out")
+            raise AssertionError("scenario loaded for --sweep-grid without --out")
 
-        monkeypatch.setattr("remest.cli.sweep_simulated", never)
-        assert main(["simulate", "--sweep-grid", "2x2", "--horizon", "300"]) == 2
-        assert "--out is required with --sweep-grid" in capsys.readouterr().err
+        monkeypatch.setattr("remest.cli.load_scenario", never)
+        monkeypatch.setattr("remest.cli.load_bundled_scenario", never)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--sweep-grid", "2x2", "--horizon", "300"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--out is required with --sweep-grid" in err
 
     @pytest.mark.parametrize("flag", [["--full-physics"], ["--trace", "t.csv"]])
     def test_simulate_sweep_grid_rejects_single_run_flags(

@@ -349,14 +349,19 @@ class TestRun:
         s = Scenario.build([scalar_process(1.1)], channel)
         unreachable = cascaded_index(s.chain, 0, 2)
         assert s.chain.unreachable == {unreachable}
-        for bad in (-1, s.chain.num_states, unreachable):
-            with pytest.raises(ValueError, match=r"reachable state in 0\.\.3, got"):
+        # 1.7 and 2.0 are rejected, not truncated or passed on to the channel walk
+        for bad in (-1, s.chain.num_states, unreachable, 1.7, 2.0):
+            wanted = rf"initial_channel_state must be a reachable state in 0\.\.3, got {bad}"
+            with pytest.raises(ValueError, match=wanted):
+                initial_state(s, seed=1, initial_channel_state=bad)
+            with pytest.raises(ValueError, match=wanted):
                 run(s, make_policy("persistent-serial", s), horizon=5, seed=1,
                     initial_channel_state=bad)
-        chunks = []
-        run(s, make_policy("persistent-serial", s), horizon=5, seed=1,
-            observer=chunks.append, initial_channel_state=2)
-        assert chunks[0].path[0] == 2
+        for good in (2, np.int64(2)):
+            chunks = []
+            run(s, make_policy("persistent-serial", s), horizon=5, seed=1,
+                observer=chunks.append, initial_channel_state=good)
+            assert chunks[0].path[0] == 2
 
     def test_aoi_follows_update_rule_exactly(self):
         s = example_scenario()
