@@ -378,11 +378,15 @@ def drop_matrix(chain: CascadedChain, selection: np.ndarray) -> np.ndarray:
 def _check_starts(chain: CascadedChain, starts, name: str) -> None:
     """Raise ValueError unless ``starts`` holds integers that are reachable cascaded states."""
     starts = np.asarray(starts)
-    integral = starts.dtype.kind in "iu"  # 2.0 is rejected too, not truncated
-    for start in (np.unique(starts) if integral else starts.ravel()[:1]).tolist():
-        if not integral or not 0 <= start < chain.num_states or start in chain.unreachable:
-            last = chain.num_states - 1
-            raise ValueError(f"{name} must be a reachable state in 0..{last}, got {start}")
+    wanted = f"{name} must be a reachable state in 0..{chain.num_states - 1}, got"
+    if starts.dtype.kind not in "iu" and starts.size:  # 2.0 is rejected too, not truncated
+        flat = starts.ravel()
+        odd = flat[flat != np.round(flat)] if starts.dtype.kind == "f" else flat[:0]
+        got = odd[0] if odd.size else f"{flat[0]} of dtype {starts.dtype}"  # name the offender
+        raise ValueError(f"{wanted} {got}")
+    for start in np.unique(starts).tolist():
+        if not 0 <= start < chain.num_states or start in chain.unreachable:
+            raise ValueError(f"{wanted} {start}")
 
 
 def _walk_path(chain: CascadedChain, start: int, uniforms: np.ndarray) -> list[int]:

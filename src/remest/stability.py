@@ -11,20 +11,25 @@ diagonal matrix of the selected drop probabilities.
 
 The same factor is the root of an m x m problem over the quality states
 alone, the Markov-renewal (semi-Markov kernel) form of the channel.  Write
-d(i, delta) for the greedy drop in cascaded state (quality i, held delta),
-J[(i, delta), :] for its jump row (the columns of the states (j, 1)) and
-s(i, delta) for its stay entry T[(i, delta), (i, delta+1)], zero at delta = D.
-Unrolling ``F x = lambda x`` along one sojourn gives, with mu = 1/lambda,
+d(i, k) for the greedy drop in cascaded state (quality i, held k),
+J[(i, k), :] for its jump row (the columns of the states (j, 1)) and s(i, k)
+for its stay entry T[(i, k), (i, k+1)].  Unrolling ``F x = lambda x`` along
+one sojourn gives, with mu = 1/lambda, the kernel
 
-    a(i, D+1) = 0,   a(i, delta) = d(i, delta) mu (J[(i, delta), :] + s(i, delta) a(i, delta+1)),
+    A(mu)[i, :] = sum_k w(i, k) J[(i, k), :],   w(i, k) = prod_{r<=k} d(i, r) mu * prod_{r<k} s(i, r),
 
-and the kernel A(mu) whose row i is a(i, 1) has ``rho(A(1/lambda)) = 1``.
-Its entries are polynomials in mu with nonnegative coefficients and degrees
-1..D, so ``f(t) = log rho(A(e^t))`` is convex (Kingman, "A convexity
-property of positive matrices", Quart. J. Math. 12, 1961) with slope in
-[1, D], and Newton's method on f finds ``t = -log lambda`` monotonically.
-The recursion uses elementwise products only: it never forms mu^D, which
-overflows when lambda is small, and it does not assume that rows sum to 1.
+with ``rho(A(1/lambda)) = 1``.  Its entries are polynomials in mu with
+nonnegative coefficients and degrees 1..D, so ``f(t) = log rho(A(e^t))`` is
+convex (Kingman, "A convexity property of positive matrices", Quart. J.
+Math. 12, 1961) with slope in [1, D].  The weights are one cumulative product
+over held time of ``d(i, k) mu s(i, k-1)``: mu^k is never formed on its own
+(it overflows when lambda is small), and rows need not sum to 1.  The root
+``t = -log lambda`` comes from the nonlinear Rayleigh functional (Ruhe,
+"Algorithms for the nonlinear eigenvalue problem", SIAM J. Numer. Anal. 10,
+1973): with l and r the Perron vectors of A(e^t), the scalar model
+``q(u) = l^T A(e^(t+u)) r / l^T r = sum_k c_k e^(k u)`` matches rho and its
+slope at u = 0, and solving ``q = 1``, rather than taking one Newton step on
+f, about squares the error per eigensolve; a typical chain settles in four.
 Every current-CSI factor, of a chain or of a sweep cell, uses this form from
 ``_KERNEL_MIN_HOLDING`` on and the dense eigensolve below it (``_stack_factors``).
 
@@ -151,77 +156,67 @@ def _greedy_factors(drops: np.ndarray, transition: np.ndarray) -> float | np.nda
     return spectral_radius(drops.min(axis=-1)[..., None] * transition)
 
 
-def _kernel(drop: np.ndarray, jump: np.ndarray, stay: np.ndarray, t: np.ndarray):
-    """``A(e^t)`` and its derivative in t, for each cell, by the recursion over held time.
-
-    ``drop`` is (cells, m, D), ``jump`` (m, D, m) and ``stay`` (m, D); row i of
-    the result is ``a(i, 1)`` with ``a(i, D+1) = 0`` and
-    ``a(i, delta) = d mu (J[(i, delta), :] + s a(i, delta+1))``, so the
-    derivative ``b`` obeys ``b(i, delta) = a(i, delta) + d mu s b(i, delta+1)``.
-    """
-    scaled = drop * np.exp(t)[:, None, None]  # d(i, delta) mu
-    a = scaled[:, :, -1, None] * jump[:, -1]
-    da = a
-    for k in range(drop.shape[2] - 2, -1, -1):
-        carry = (scaled[:, :, k] * stay[:, k])[:, :, None]
-        a = scaled[:, :, k, None] * jump[:, k] + carry * a
-        da = a + carry * da
-    return a, da
-
-
 def _kernel_factors(drops: np.ndarray, transition: np.ndarray, max_holding: int) -> np.ndarray:
     """``rho(V(v*) T)`` for a stack of drop tables, from the m x m Markov-renewal kernel.
 
-    The root t of ``f(t) = log rho(A(e^t)) = 0`` gives ``lambda = e^-t`` (see
-    the module docstring).  f is convex with slope in [1, D], so the root lies
-    between ``-f(0)`` and ``-f(0)/D``; Newton steps run from the end where
-    f >= 0, with the slope from one ``eig`` (right vector from V, left from
-    the matching row of V^-1), and a step that is not finite and positive or
-    that leaves the bracket is replaced by bisection.  A cell stops when its
-    own step is at most four ulps, so its bits depend on its drop table alone.
-    A kernel with ``rho(A(1)) = 0`` is nilpotent at every t and gives exactly
-    0.  A cell whose kernel passes the float range (``rho(A(1))`` below about
-    e^-88 at D = 8), or that has not settled after ``_KERNEL_MAX_STEPS``
-    steps, gives NaN, and a failed ``eig`` or ``inv`` raises
-    ``np.linalg.LinAlgError``; :func:`_stack_factors` computes those cells by
-    :func:`_greedy_factors`.
+    Each step takes the Perron vectors of ``A(e^t)`` from one ``eig`` (right
+    from V, left from the matching row of V^-1) and solves the Rayleigh
+    functional's ``sum_k c_k e^(k u) = 1``, ``c_k = l . (w_k o J_k r) / l . r``,
+    by scalar Newton steps from u = 0; the first is Newton's step on f (see
+    the module docstring), whose value f is taken as ``log sum_k c_k``.  Every
+    evaluation narrows the bracket to ``[t - f, t - f/D]``, and a step that
+    leaves it is replaced by bisection.  A cell stops when its own step is at
+    most four ulps, so its bits depend on its drop table alone.  A nilpotent
+    kernel gives exactly 0.  A cell whose kernel passes the float range, or
+    that has not settled after ``_KERNEL_MAX_STEPS`` steps, gives NaN, and a
+    failed ``eig`` or ``inv`` raises ``np.linalg.LinAlgError``;
+    :func:`_stack_factors` computes those cells by :func:`_greedy_factors`.
     """
     m = transition.shape[0] // max_holding
-    drop = drops.min(axis=-1).reshape(-1, m, max_holding)
     jump = transition[:, ::max_holding].reshape(m, max_holding, m)
-    # T[k, k+1] padded to m D entries; the held-D column is never read
     stay = np.append(transition.diagonal(1), 0.0).reshape(m, max_holding)
-    factor = np.zeros(drop.shape[0])
-
-    rho0 = np.abs(np.linalg.eigvals(_kernel(drop, jump, stay, np.zeros(len(drop)))[0])).max(axis=-1)
-    live = np.flatnonzero(rho0 > 0.0)
-    f0 = np.log(rho0[live])
-    lo = np.minimum(-f0, -f0 / max_holding)
-    hi = np.maximum(-f0, -f0 / max_holding)
-    t = hi.copy()
+    # d(i, k) s(i, k-1), with s(i, 0) = 1; w is the cumulative product of these times mu
+    drop_stay = drops.min(axis=-1).reshape(-1, m, max_holding)
+    drop_stay[:, :, 1:] *= stay[:, :-1]
+    held = np.arange(1.0, max_holding + 1)
+    factor = np.zeros(len(drop_stay))
+    live = np.arange(len(drop_stay))
+    t, lo, hi = np.zeros(len(live)), np.full(len(live), -np.inf), np.full(len(live), np.inf)
     for _ in range(_KERNEL_MAX_STEPS):
-        with np.errstate(over="ignore", invalid="ignore"):
-            a, da = _kernel(drop[live], jump, stay, t)
-        keep = np.isfinite(a).all(axis=(1, 2))  # a kernel past the float range leaves as NaN
-        factor[live[~keep]] = np.nan
-        live, t, lo, hi, a, da = (x[keep] for x in (live, t, lo, hi, a, da))
         if not live.size:
             return factor
-        vals, vecs = np.linalg.eig(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.cumprod(drop_stay[live] * np.exp(t)[:, None, None], axis=-1)
+            a = np.einsum("cik,ikj->cij", w, jump)
+        finite = np.isfinite(a).all(axis=(1, 2))
+        factor[live[~finite]] = np.nan  # a kernel past the float range leaves as NaN
+        vals, vecs = np.linalg.eig(np.where(finite[:, None, None], a, 0.0))
+        keep = np.abs(vals).max(axis=-1) > 0.0  # so does a nilpotent kernel, with factor 0
+        live, t, lo, hi, w, vals, vecs = (x[keep] for x in (live, t, lo, hi, w, vals, vecs))
         rows = np.arange(live.size)
         perron = np.argmax(vals.real, axis=-1)
-        rho = np.abs(vals).max(axis=-1)
-        vecs = vecs.astype(complex)  # one inverse routine whatever the other cells' spectra
-        left = np.linalg.inv(vecs)[rows, perron]
-        right = vecs[rows, :, perron]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.einsum("ci,cij,cj->c", left, da, right).real / rho
-            f = np.log(rho)
-            step = t - f / slope
-        hi = np.where(f > 0.0, t, hi)
-        lo = np.where(f > 0.0, lo, t)
-        newton = np.isfinite(step) & (slope > 0.0) & (lo <= step) & (step <= hi)
-        step = np.where(newton, step, 0.5 * (lo + hi))
+        # a conjugate pair's columns replaced by their real and imaginary parts
+        # span the same plane, so row perron of the inverse is still the left vector
+        basis = np.where(vals.imag[:, None, :] < 0.0, vecs.imag, vecs.real)
+        left = np.linalg.inv(basis)[rows, perron]
+        right = basis[rows, :, perron]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # q(u) = sum_k c_k e^(k u); f = log q(0), the Perron root's Rayleigh quotient
+            c = (left[:, :, None] * w * (jump * right[:, None, None, :]).sum(axis=-1)).sum(axis=1)
+            c /= (left * right).sum(axis=-1)[:, None]
+            f = np.log(c.sum(axis=-1))
+            lo = np.maximum(lo, np.minimum(t - f, t - f / max_holding))
+            hi = np.minimum(hi, np.maximum(t - f, t - f / max_holding))
+            step, moving = t.copy(), np.ones(live.size, dtype=bool)
+            for _ in range(_KERNEL_MAX_STEPS):
+                e = c * np.exp(held * (step - t)[:, None])
+                q = e.sum(axis=-1)
+                du = np.log(q) * q / (held * e).sum(axis=-1)
+                step = np.where(moving, step - du, step)
+                moving &= np.abs(du) > 4.0 * _EPS * np.maximum(1.0, np.abs(step))
+                if not moving.any():
+                    break
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
         done = np.abs(step - t) <= 4.0 * _EPS * np.maximum(1.0, np.abs(t))
         factor[live[done]] = np.exp(-step[done])
         live, t, lo, hi = live[~done], step[~done], lo[~done], hi[~done]
@@ -231,18 +226,18 @@ def _kernel_factors(drops: np.ndarray, transition: np.ndarray, max_holding: int)
 
 # Chains whose holding period reaches this many slots solve the m x m kernel
 # instead of the mD x mD cascaded eigenproblem.  Measured crossover, dense time
-# over kernel time for a 441-cell sweep of random chains, then for one chain
-# (2 vCPUs, one BLAS thread, numpy 2.4):
+# over kernel time for a 441-cell sweep of random chains in the sweep's
+# chunks, then for one chain (2 vCPUs, one BLAS thread, numpy 2.4):
 #     m \ D     2     3     4     5     6     8    |    5     6     8    12
-#      2      0.25  0.39  0.68  1.03  1.02  1.68   |  0.05  0.06  0.07  0.08
-#      3      0.21  0.39  0.60  1.03  1.28  2.09   |  0.07  0.08  0.13  0.21
-#      4      0.22  0.49  0.69  1.17  1.87  2.47   |  0.10  0.13  0.18  0.29
-#      6      0.24  0.52  0.87  1.28  2.00  3.99   |  0.18  0.26  0.46  0.56
-#      8      0.30  0.53  0.93  1.57  2.37  3.66   |  0.38  0.47  0.78  2.25
-#     12      0.29  0.65  1.17  2.09  2.58  6.50   |  0.63  0.81  1.85  3.63
-#     16      0.33  0.78  1.49  2.85  4.29  7.79   |  1.32  1.62  3.20  6.87
+#      2      0.37  0.40  0.84  1.13  1.37  1.94   |  0.05  0.07  0.11  0.17
+#      3      0.32  0.65  1.06  1.36  2.04  3.07   |  0.08  0.09  0.18  0.36
+#      4      0.33  0.61  0.88  1.30  2.52  3.38   |  0.12  0.17  0.31  0.58
+#      6      0.34  0.65  1.18  2.10  2.64  6.28   |  0.21  0.31  0.49  1.14
+#      8      0.38  0.65  1.40  2.32  2.88  5.92   |  0.41  0.67  0.97  3.69
+#     12      0.40  0.89  1.85  1.77  2.92  9.55   |  0.93  0.79  3.60  7.46
+#     16      0.50  0.76  1.63  3.76  3.86 10.55   |  1.40  2.65  5.56 11.73
 # From D = 5 a sweep never loses; one small chain does, by up to about
-# 1.7 ms, and in return a chain and its sweep cell get the same bits.
+# 0.6 ms, and in return a chain and its sweep cell get the same bits.
 _KERNEL_MIN_HOLDING = 5
 
 

@@ -100,8 +100,8 @@ def sweep_stability(loaded: LoadedScenario, grid: tuple[int, int] | None = None)
     cell_v1 = np.repeat(values1, cols)
     cell_v2 = np.tile(values2, rows)
     factor = np.empty(rows * cols)
-    # a cell holds its drop table and about eight complex m x m kernel arrays,
-    # or below D = 5 its mD x mD failure matrix, which is no larger
+    # a cell holds its drop table and kernel arrays of about sixteen m x m
+    # floats, or below D = 5 its mD x mD failure matrix, which is no larger
     chunk = max(1, _CHUNK_BYTES // (chain.drops.nbytes + 128 * chain.num_quality_states**2))
     for lo in range(0, factor.size, chunk):
         part = slice(lo, lo + chunk)

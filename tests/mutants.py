@@ -46,8 +46,8 @@ MUTANTS = (
     Mutant(
         "start states are not checked to be integers",
         "remest/channel.py",
-        'integral = starts.dtype.kind in "iu"',
-        "integral = True",
+        'if starts.dtype.kind not in "iu" and starts.size:',
+        "if False:",
         (
             "tests/test_channel.py::TestSampling::test_samplers_reject_starts_outside_the_chain",
             "tests/test_sim.py::TestRun::test_initial_channel_state_checked",
@@ -66,6 +66,27 @@ MUTANTS = (
         "out=np.ones_like(pmf)",
         "out=np.zeros_like(pmf)",
         ("tests/test_channel.py::TestBuildCascadedChain::test_matches_per_state_reference_bit_for_bit",),
+    ),
+    Mutant(
+        "kernel weights drop the stay factor",
+        "remest/stability.py",
+        "drop_stay[:, :, 1:] *= stay[:, :-1]",
+        "drop_stay[:, :, 1:] *= 1.0",
+        ("tests/test_stability.py::TestKernelFactors::test_random_chains_match_dense_eig",),
+    ),
+    Mutant(
+        "the Rayleigh-functional step degrades to one Newton step",
+        "remest/stability.py",
+        "if not moving.any():",
+        "if True:",
+        ("tests/test_stability.py::TestSingleChainKernel::test_root_takes_few_eigensolves",),
+    ),
+    Mutant(
+        "the kernel's inner solve keeps moving cells that have settled",
+        "remest/stability.py",
+        "step = np.where(moving, step - du, step)",
+        "step = step - du",
+        ("tests/test_scenario_cli.py::TestSweep::test_kernel_cells_equal_their_own_chains_at_full_size",),
     ),
 )
 

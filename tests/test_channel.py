@@ -456,6 +456,11 @@ class TestSampling:
                 sample_path(chain, bad, 5, rng)
             with pytest.raises(ValueError, match="starts " + wanted):
                 sample_paths(chain, np.array([bad, 0, 1]), 5, rng)
+        # a float array is named by its first non-integer entry, or else by its dtype
+        last = bundled.num_states - 1
+        for starts, got in ((np.array([0, 1.7]), "1.7"), (np.array([2.0]), "2.0 of dtype float64")):
+            with pytest.raises(ValueError, match=rf"starts must .* in 0\.\.{last}, got {got}$"):
+                sample_paths(bundled, starts, 5, rng)
         assert sample_path(bundled, np.int64(2), 5, rng)[0] == 2
         assert sample_paths(bundled, np.array([2], dtype=np.int32), 5, rng)[0, 0] == 2
 

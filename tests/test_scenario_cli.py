@@ -370,6 +370,13 @@ class TestSweep:
         assert np.array_equal(coarse.factor, fine.factor[::2, ::2])
         assert coarse.factor[0, 0] == 0.0  # frequency 1 never drops at (0, 0)
 
+    def test_kernel_cells_equal_their_own_chains_at_full_size(self):
+        # 441 cells run in chunks of about a hundred: a cell that stopped on
+        # its chunk's test instead of its own would differ in its last bits
+        long = long_holding_scenario()
+        res = sweep_stability(long, grid=(21, 21))
+        assert np.array_equal(res.factor, per_cell_sweep_factors(long, (21, 21)))
+
     def test_kernel_failure_falls_back_to_dense(self, monkeypatch):
         long = long_holding_scenario()
         real_eig = np.linalg.eig

@@ -403,15 +403,34 @@ class TestKernelFactors:
         chain = build_cascaded_chain(model)
         assert _kernel_factors(chain.drops[None], chain.transition, chain.max_holding)[0] == 0.0
 
-    def test_overflowing_cell_is_nan_and_goes_dense(self):
+    def test_tiny_factor_settles_on_the_kernel(self):
         # a near-certain success on entering each quality, then certain drops
         # for the 6 or 7 slots still held: rho(A(1)) ~ 1e-60, and A overflows
-        # at the bracket's right end
+        # at the bracket's far end, which the iteration from t = 0 never visits
         model = SemiMarkovChannelModel(
             levels_per_frequency=(2,),
             transition=[[0.5, 0.5], [0.5, 0.5]],
             holding_pmf=[0.0] * 6 + [0.5, 0.5],
             cascade_drops=([[1e-60]] + [[1.0]] * 7) * 2,
+        )
+        chain = build_cascaded_chain(model)
+        drops = np.stack([np.full_like(chain.drops, 0.5), chain.drops, np.full_like(chain.drops, 0.7)])
+        got = _kernel_factors(drops, chain.transition, chain.max_holding)
+        dense = _greedy_factors(drops, chain.transition)
+        np.testing.assert_allclose(got, dense, rtol=1e-13, atol=0.0)
+        assert got[1] < 1e-7
+        alone = [_kernel_factors(d[None], chain.transition, 8)[0] for d in drops]
+        assert np.array_equal(got, alone)
+
+    def test_overflowing_cell_is_nan_and_goes_dense(self):
+        # quality 0 holds 8 slots, drops in the first 7 and never in the 8th;
+        # quality 1 holds one slot and drops 1e-50 of the time, so lambda ~ 5e-51
+        # and mu^7 weights quality 0's seventh slot past the float range at the root
+        model = SemiMarkovChannelModel(
+            levels_per_frequency=(2,),
+            transition=[[0.5, 0.5], [0.5, 0.5]],
+            holding_pmf=[[0.0] * 7 + [1.0], [1.0] + [0.0] * 7],
+            cascade_drops=[[1.0]] * 7 + [[0.0], [1e-50]] + [[1.0]] * 7,
         )
         chain = build_cascaded_chain(model)
         drops = np.stack([np.full_like(chain.drops, 0.5), chain.drops, np.full_like(chain.drops, 0.7)])
@@ -422,7 +441,8 @@ class TestKernelFactors:
 
         swept = _stack_factors(drops, chain)
         assert np.array_equal(swept[[0, 2]], alone)
-        assert swept[1] == current_csi_factor(chain)[0] > 0.0
+        dense = _greedy_factors(drops[1:2], chain.transition)[0]
+        assert swept[1] == current_csi_factor(chain)[0] == dense > 0.0
 
 
 def _lossless_frequency(rng, max_holding):
@@ -456,6 +476,22 @@ class TestSingleChainKernel:
             assert cycle_chain(chain).fail_radius == lam
             # the kernel root itself, not the dense eigensolve's rounding
             assert lam == _kernel_factors(chain.drops[None], chain.transition, max_holding)[0]
+
+    @pytest.mark.parametrize("make", SINGLE_KERNEL_MODELS.values(), ids=SINGLE_KERNEL_MODELS)
+    def test_root_takes_few_eigensolves(self, rng, make, monkeypatch):
+        # the Rayleigh-functional step settles a D = 8 chain in four or five
+        # eigensolves; a Newton step on f alone takes about seven
+        calls = []
+        for name in ("eig", "eigvals"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, real=real: calls.append(a) or real(a))
+        counts = []
+        for _ in range(6):
+            chain = build_cascaded_chain(make(rng, 8))
+            calls.clear()
+            current_csi_factor(chain)
+            counts.append(len(calls))
+        assert max(counts) <= 6 and np.mean(counts) <= 5.0, counts
 
     def test_batched_eig_failure_falls_back_to_dense(self, rng, monkeypatch):
         chain = build_cascaded_chain(random_semi_markov(rng, levels=(2, 2), max_holding=8))
