@@ -12,7 +12,8 @@ state with its elapsed holding time yields an ordinary Markov chain, the
 
 where the hazard is the probability that the holding period ends now given
 it has lasted delta slots.  With ``max_holding == 1`` the cascaded chain is
-the quality chain itself, entry for entry.
+the quality chain itself, entry for entry.  Trajectories invert the
+cumulative rows through one exact guide table per chain (:class:`CascadedChain`).
 
 Composite quality states enumerate the per-frequency levels in product order
 with the last frequency varying fastest; cascaded states are ordered by
@@ -24,7 +25,7 @@ scheduling actions.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -229,12 +230,13 @@ class CascadedChain:
     they are kept so indexing matches num_quality_states * max_holding, and
     they receive no inbound probability.
 
-    Samplers invert ``_cum_tuples``, the cumulative row sums set to +inf from
-    each row's last positive column on: rows may sum to 1 - 1e-6, and a draw
-    above the sum must land there, not on a zero-probability state.
-    ``_stationary`` holds :func:`chain_stationary` once computed.  The
-    transition matrix never changes, so :meth:`with_drops` shares the holder:
-    a result computed on any copy serves them all.
+    Samplers invert the cumulative row sums, +inf from each row's last positive
+    column on (rows may sum to 1 - 1e-6, and a draw above the sum lands there),
+    through ``_buckets``, an exact guide table: ``edges``, the distinct finite
+    cumulative values of all rows, cut [0, 1) into buckets no row boundary
+    splits, so a draw in bucket b steps from s to ``table[s, b]`` (``rows[s][b]``).
+    ``_stationary`` holds :func:`chain_stationary` and its normalized cdf.  The
+    transition matrix never changes, so :meth:`with_drops` shares both holders.
     """
 
     states: tuple[tuple[int, int], ...]
@@ -243,16 +245,27 @@ class CascadedChain:
     num_quality_states: int
     max_holding: int
     unreachable: frozenset[int] = frozenset()
-    _cum_tuples: tuple = field(default=None, repr=False, compare=False)
+    _buckets: tuple = field(default=None, repr=False, compare=False)
     _stationary: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._cum_tuples is None:
+        if self._buckets is None:
             n = self.transition.shape[1]
             last = n - 1 - np.argmax(self.transition[:, ::-1] > 0.0, axis=1)
-            cum = np.cumsum(self.transition, axis=1)
-            cum[np.arange(n) >= last[:, None]] = np.inf
-            object.__setattr__(self, "_cum_tuples", tuple(map(tuple, cum.tolist())))
+            finite = np.arange(n) < last[:, None]
+            values = np.cumsum(self.transition, axis=1)[finite]
+            edges = values[np.argsort(values, kind="stable")]  # not np.sort or np.unique: more RSS
+            edges = edges[np.diff(edges, prepend=-1.0) > 0.0]
+            # runs of one np.repeat: 0 from each row's start, j + 1 from its j-th value's bucket
+            width, row, before = len(edges) + 1, np.nonzero(finite)[0], np.cumsum(last) - last
+            runs = np.empty(len(values) + n, dtype=int)
+            runs[before + np.arange(n)] = np.arange(n) * width
+            runs[np.arange(len(values)) + row + 1] = row * width + np.searchsorted(edges, values) + 1
+            counts = np.arange(len(runs)) - np.repeat(before + np.arange(n), last + 1)
+            counts = counts.astype(np.uint8 if n <= 256 else np.uintc)
+            table = np.repeat(counts, np.diff(runs, append=n * width)).reshape(n, width)
+            rows = tuple(r.tobytes() if n <= 256 else array("I", r.tobytes()) for r in table)
+            object.__setattr__(self, "_buckets", (edges, table, rows))
 
     @property
     def num_states(self) -> int:
@@ -384,21 +397,17 @@ def _check_starts(chain: CascadedChain, starts, name: str) -> None:
         odd = flat[flat != np.round(flat)] if starts.dtype.kind == "f" else flat[:0]
         got = odd[0] if odd.size else f"{flat[0]} of dtype {starts.dtype}"  # name the offender
         raise ValueError(f"{wanted} {got}")
-    for start in np.unique(starts).tolist():
+    for start in sorted(set(starts.ravel().tolist())):
         if not 0 <= start < chain.num_states or start in chain.unreachable:
             raise ValueError(f"{wanted} {start}")
 
 
 def _walk_path(chain: CascadedChain, start: int, uniforms: np.ndarray) -> list[int]:
     """``start`` and the state after each transition, one uniform per transition."""
-    cum = chain._cum_tuples
+    edges, _, rows = chain._buckets
     state = start
-    path = [start]
-    visit = path.append
-    for u in uniforms.tolist():
-        state = bisect_right(cum[state], u)
-        visit(state)
-    return path
+    buckets = np.searchsorted(edges, uniforms, side="right").tolist()
+    return [start] + [state := rows[state][b] for b in buckets]
 
 
 def sample_path(
@@ -427,10 +436,12 @@ def sample_paths(
     block.
     """
     _check_starts(chain, starts, "starts")
-    starts = np.asarray(starts, dtype=int)
-    block = rng.random((num_steps, starts.size))
-    paths = [_walk_path(chain, start, u) for start, u in zip(starts.tolist(), block.T)]
-    return np.array(paths, dtype=int).reshape(starts.size, num_steps + 1)
+    edges, table, _ = chain._buckets
+    paths = np.empty((num_steps + 1, np.size(starts)), dtype=int)
+    paths[0] = starts
+    for t, buckets in enumerate(np.searchsorted(edges, rng.random(paths[1:].shape), side="right")):
+        paths[t + 1] = table[paths[t], buckets]  # every replica steps at once
+    return paths.T.copy()
 
 
 def chain_stationary(chain: CascadedChain) -> np.ndarray:
@@ -445,7 +456,8 @@ def chain_stationary(chain: CascadedChain) -> np.ndarray:
     pi = np.zeros(chain.num_states)
     pi[feasible] = stationary_distribution(chain.transition[np.ix_(feasible, feasible)])
     pi.flags.writeable = False
-    chain._stationary.append(pi)
+    cdf = np.cumsum(pi)
+    chain._stationary.extend((pi, (cdf / cdf[-1]).tolist()))  # as ``rng.choice(p=pi)`` builds it
     return pi
 
 

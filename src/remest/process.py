@@ -235,6 +235,7 @@ class CostFunction:
         # index i holds age i; entry 0 belongs to the steady covariance itself
         self._costs: list[float] = [trace0]
         self._log_costs: list[float] = [self._scaled[1]]
+        self._tables = (np.empty(0), np.empty(0))  # :meth:`tables` of every age computed
 
     def _extend(self, i: int) -> None:
         a, w = self.model.A, self.model.W
@@ -280,7 +281,10 @@ class CostFunction:
         return self._log_costs[i]
 
     def tables(self, i_max: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`cost` and :meth:`log_cost` at ages ``0..i_max``; entry 0 is NaN."""
-        self._extend(i_max)
-        ages = slice(1, i_max + 1)
-        return np.array([math.nan] + self._costs[ages]), np.array([math.nan] + self._log_costs[ages])
+        """:meth:`cost` and :meth:`log_cost` at ages ``0..i_max``, read-only; entry 0 is NaN."""
+        if len(self._tables[0]) <= i_max:
+            self._extend(i_max)
+            self._tables = tuple(np.array([math.nan] + t[1:]) for t in (self._costs, self._log_costs))
+            for table in self._tables:
+                table.flags.writeable = False
+        return self._tables[0][: i_max + 1], self._tables[1][: i_max + 1]

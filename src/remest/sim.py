@@ -9,23 +9,25 @@ cascaded chain.
 
 One engine advances every run in chunks of slots.  It draws each chunk's
 uniforms as one block, in the order a slot-by-slot loop would draw them,
-walks the channel along them once, and asks the policy for the chunk's
-whole action matrix.  Everything after the walk carries a leading cell
-axis: the cells of a simulated sweep differ only in their drop tables, so
-they share one walk per seed, and a single run is the one-cell case.  Costs
-come from per-sensor AoI occupancy histograms, scored in log space when the
-linear value overflows, so diverging runs report growth rather than
-infinities.  One driver, ``_drive``, is the engine's one chunk loop, for
-:func:`run` and a simulated sweep alike; an optional observer sees each
-one-cell chunk of a run after it is tallied.  The CLI's slot trace and the
-full-physics mode, which checks the per-age cost against the empirical
-squared error of simulated plants, are such observers.
+walks the channel along them once (a table lookup per slot), and asks the
+policy for the chunk's whole action matrix, checked by whole-array tests.
+Everything after the walk carries a leading cell axis: the cells of a
+simulated sweep differ only in their drop tables, so they share one walk
+per seed, and a single run is the one-cell case.  Costs come from
+per-sensor AoI occupancy histograms, scored in log space when the linear
+value overflows, so diverging runs report growth rather than infinities.
+One driver, ``_drive``, is the engine's one chunk loop, for :func:`run` and
+a simulated sweep alike; an optional observer sees each one-cell chunk of a
+run after it is tallied.  The CLI's slot trace and the full-physics mode,
+which checks the per-age cost against the empirical squared error of
+simulated plants, are such observers.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
@@ -237,8 +239,8 @@ def initial_state(
     """
     rng = np.random.default_rng(seed)
     if initial_channel_state is None:
-        pi = chain_stationary(scenario.chain)
-        initial_channel_state = int(rng.choice(len(pi), p=pi))
+        chain_stationary(scenario.chain)  # ``rng.choice(S, p=pi)``, draw and result alike
+        initial_channel_state = bisect_right(scenario.chain._stationary[1], rng.random())
     else:
         _check_starts(scenario.chain, initial_channel_state, "initial_channel_state")
     return SimState(
@@ -249,15 +251,27 @@ def initial_state(
     )
 
 
-def _check_actions(actions, m: int) -> None:
-    """Raise :class:`InvalidActionError` for the first fault in one action vector."""
-    used = set()
-    for a in map(int, actions):
-        if a < 0 or a > m:
-            raise InvalidActionError(f"action {a} outside 0..{m}")
-        if a != 0 and a in used:
-            raise InvalidActionError(f"frequency {a} assigned to more than one sensor")
-        used.add(a)
+def _check_actions(actions: np.ndarray, m: int) -> np.ndarray:
+    """Each action's entry in a (slot, frequency) table, once every slot is checked.
+
+    Raises :class:`InvalidActionError` for the first fault, in slot then sensor order.
+    """
+    rows = actions.reshape(-1, actions.shape[-1])
+    outside = not 0 <= rows.min() <= rows.max() <= m
+    freqs = np.where((rows < 0) | (rows > m), 0, rows) if outside else rows
+    entry = np.arange(0, (m + 1) * len(rows), m + 1)[:, None] + freqs
+    uses = np.bincount(entry.ravel(), minlength=(m + 1) * len(rows)).reshape(-1, m + 1)
+    uses[:, 0] = 0  # any number of sensors may idle
+    shared = uses > 1
+    if outside or shared.any():  # slow reductions over the short sensor axis only locate it
+        used = set()
+        for a in map(int, rows[np.argmax((freqs != rows).any(axis=1) | shared.any(axis=1))]):
+            if a < 0 or a > m:
+                raise InvalidActionError(f"action {a} outside 0..{m}")
+            if a != 0 and a in used:
+                raise InvalidActionError(f"frequency {a} assigned to more than one sensor")
+            used.add(a)
+    return entry
 
 
 # consecutive slots of a block of cells from slot ``start`` on: the shared
@@ -280,7 +294,7 @@ def _walk(state: SimState, scenario: Scenario, k: int) -> tuple[np.ndarray, np.n
     walked = _walk_path(scenario.chain, state.channel_state, draws[:, m])
     state.channel_state = walked.pop()
     state.slot += k
-    return np.array(walked), draws[:, :m]
+    return np.fromiter(walked, dtype=int, count=k), draws[:, :m]
 
 
 def _advance(block: _Block, start: int, path: np.ndarray, uniforms: np.ndarray) -> _Chunk:
@@ -295,20 +309,10 @@ def _advance(block: _Block, start: int, path: np.ndarray, uniforms: np.ndarray) 
         )
     if not np.issubdtype(actions.dtype, np.integer):
         raise InvalidActionError(f"actions must be integers, got dtype {actions.dtype}")
-    # sensor by sensor and pair by pair: reductions over the short sensor axis are slow
-    bad = np.zeros(actions.shape[:2], dtype=bool)
-    for i in range(n):
-        freq = actions[..., i]
-        bad |= (freq < 0) | (freq > m)
-        for j in range(i):
-            bad |= (freq == actions[..., j]) & (freq > 0)
-    if bad.any():
-        cell, slot = np.argwhere(bad)[0]
-        _check_actions(actions[cell, slot], m)
     # each action's outcome, read from the success row led by a never-succeeding idle column
     padded = np.zeros((cells, k, m + 1), dtype=bool)
     padded[..., 1:] = success
-    outcomes = padded.take(np.arange(0, padded.size, m + 1).reshape(-1, k, 1) + actions)
+    outcomes = padded.take(_check_actions(actions, m)).reshape(cells, k, n)
 
     # slot of each sensor's latest success; the AoI is the distance to it
     slots = np.arange(start, start + k)[:, None]

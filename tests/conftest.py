@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from remest import ProcessModel, Scenario, SemiMarkovChannelModel
+from remest.scenario import bundled_scenario_path, parse_scenario_dict
 
 
 def scalar_process(a: float, w: float = 1.0, z: float = 1.0, index: int = 0) -> ProcessModel:
@@ -85,6 +87,15 @@ def random_semi_markov(
         holding_pmf=pmf,
         level_drops=level_drops,
     )
+
+
+def long_holding_scenario():
+    """Bundled scenario with holding periods up to 8 slots, so the sweep solves the kernel."""
+    with open(bundled_scenario_path(), "rb") as fh:
+        data = yaml.safe_load(fh)
+    data["channel"]["max_holding"] = 8
+    data["channel"]["holding_pmf"] = [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05]
+    return parse_scenario_dict(data)
 
 
 @pytest.fixture

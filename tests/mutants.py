@@ -39,9 +39,30 @@ MUTANTS = (
     Mutant(
         "channel walk steps from the start's row",
         "remest/channel.py",
-        "state = bisect_right(cum[state], u)",
-        "state = bisect_right(cum[start], u)",
+        "[state := rows[state][b] for b in buckets]",
+        "[state := rows[start][b] for b in buckets]",
         ("tests/test_channel.py::TestSampling::test_sample_paths_walk_columns_of_one_block",),
+    ),
+    Mutant(
+        "a draw on a cumulative edge falls into the bucket below it",
+        "remest/channel.py",
+        'np.searchsorted(edges, uniforms, side="right")',
+        'np.searchsorted(edges, uniforms, side="left")',
+        ("tests/test_channel.py::TestSampling::test_draws_on_every_cumulative_edge",),
+    ),
+    Mutant(
+        "the start-state cdf is left unnormalized",
+        "remest/channel.py",
+        "(cdf / cdf[-1]).tolist()",
+        "cdf.tolist()",
+        ("tests/test_sim.py::TestInitialState::test_draws_on_the_cdf_edges",),
+    ),
+    Mutant(
+        "a frequency shared by two sensors passes the action check",
+        "remest/sim.py",
+        "shared = uses > 1",
+        "shared = uses > 2",
+        ("tests/test_sim.py::TestInvalidActionsThroughRun::test_first_fault_in_slot_order",),
     ),
     Mutant(
         "start states are not checked to be integers",

@@ -23,10 +23,10 @@ reference for the chunked slot engine, is the per-slot simulation loop with
 Kahan-compensated cost sums, driving a policy through ``select`` and
 ``observe`` one slot at a time, and ``reference_policy`` gives per-slot
 implementations of the three scheduling policies for it to drive;
-``sample_next``, its one-draw channel step, inverts the production chain's
-cumulative rows; ``reference_trace``, the reference for ``simulate --trace``,
-formats ``reference_run``'s slot records one f-string row at a time through
-``format_trace``.  ``reference_cascaded_chain``, the reference for the
+``sample_next``, its one-draw channel step, inverts the running sums of
+the current row of the production transition matrix; ``reference_trace``,
+the reference for ``simulate --trace``, formats ``reference_run``'s slot
+records one f-string row at a time through ``format_trace``.  ``reference_cascaded_chain``, the reference for the
 cascaded chain's one hazard table, is the per-state build loop with each
 hazard from its own row's tail sum (``reference_hazard``).
 """
@@ -495,8 +495,15 @@ def reference_cascaded_chain(model) -> tuple[np.ndarray, frozenset]:
 
 
 def sample_next(chain, current: int, rng) -> int:
-    """Draw the next cascaded state from the row of the current one, one uniform per draw."""
-    return bisect_right(chain._cum_tuples[current], rng.random())
+    """Draw the next cascaded state from the row of the current one, one uniform per draw.
+
+    Inverts the row's running sums, +inf from its last positive column on, so
+    a draw above a short row sum lands on that column.
+    """
+    row = chain.transition[current].tolist()
+    last = max(j for j, p in enumerate(row) if p > 0.0)
+    cum = list(itertools.accumulate(row[:last])) + [math.inf] * (len(row) - last)
+    return bisect_right(cum, rng.random())
 
 
 def reference_sample_paths(chain, starts, num_steps: int, rng) -> np.ndarray:

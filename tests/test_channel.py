@@ -436,6 +436,46 @@ class TestSampling:
         assert any(build_cascaded_chain(m).unreachable for m in models)
         np.testing.assert_allclose(build_cascaded_chain(short).transition.sum(axis=1), 1 - 9e-7)
 
+    def test_draws_on_every_cumulative_edge(self, rng):
+        # from each start: every cumulative value of its row, 50 of other rows,
+        # one ulp either side of each, 0 and 1 - 1e-16; on rows summing to
+        # 1 - 9e-7, chains with unreachable states and 270 states, past a byte
+        short = SemiMarkovChannelModel(
+            levels_per_frequency=(3,),
+            transition=np.array([[0.5, 0.5, 0.0], [0.3, 0.3, 0.4], [0.2, 0.0, 0.8]]) * (1 - 9e-7),
+            holding_pmf=[1.0],
+            level_drops=((0.1, 0.2, 0.3),),
+        )
+        wide = random_semi_markov(rng, levels=(3, 3, 3), max_holding=10)
+        models = [short, *holding_models(rng)[2::7], wide]
+
+        class Scripted:
+            def __init__(self, draws):
+                self.draws = draws
+
+            def random(self, size):
+                return np.asarray(self.draws).reshape(size)
+
+        for model in models:
+            chain = build_cascaded_chain(model)
+            cum = np.cumsum(chain.transition, axis=1)
+            others = rng.choice(cum.ravel(), size=50)
+            reachable = [k for k in range(chain.num_states) if k not in chain.unreachable]
+            for k, start in enumerate(rng.permutation(reachable)[:40]):
+                edges = np.concatenate([cum[start], others])
+                draws = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+                draws = np.append(draws[draws < 1.0], [0.0, 1.0 - 1e-16])
+                # one step on every draw, then (for a few starts) one walk along them all
+                each = np.full(len(draws), start)
+                want = reference_sample_paths(chain, each, 1, Scripted(draws))
+                assert np.array_equal(sample_paths(chain, each, 1, Scripted(draws)), want)
+                if k < 5:
+                    want = reference_sample_paths(chain, [start], len(draws), Scripted(draws))[0]
+                    walk = sample_path(chain, start, len(draws), Scripted(draws))
+                    assert np.array_equal(walk, want)
+        assert any(build_cascaded_chain(m).unreachable for m in models)
+        assert build_cascaded_chain(wide).num_states == 270
+
     def test_samplers_reject_starts_outside_the_chain(self, rng):
         # -1 used to walk from the last state's row and S to raise a bare IndexError
         bundled = load_bundled_scenario().scenario.chain

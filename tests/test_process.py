@@ -287,6 +287,25 @@ class TestCostFunction:
         if a == 1e3:
             assert math.isfinite(costs[51]) and costs[52] == math.inf
 
+    def test_tables_are_read_only_views_across_growth(self):
+        # the plain track passes its limit near age 42 and the costs leave float
+        # range at 52; cost() also extends the ages past the tables' arrays
+        cf = CostFunction(scalar_process(1e3))
+        ref = CostFunction(scalar_process(1e3))
+        reached = 0
+        for i_max in (3, 1, 41, 42, 43, 60, 59, 61, 200, 120):
+            if i_max == 60:
+                cf.cost(150)
+                reached = 150
+            reached = max(reached, i_max)
+            costs, logs = cf.tables(i_max)
+            assert len(cf._log_costs) == reached + 1  # no age computed unasked
+            for table, want in ((costs, ref.cost), (logs, ref.log_cost)):
+                assert len(table) == i_max + 1 and math.isnan(table[0])
+                assert table[1:].tolist() == [want(i) for i in range(1, i_max + 1)]
+                with pytest.raises(ValueError, match="read-only"):
+                    table[1] = 0.0
+
 
 class TestGrowthRate:
     def test_scalar_unstable(self):

@@ -34,6 +34,7 @@ from remest.sweep import (
     write_sweep_csv,
 )
 
+from conftest import long_holding_scenario
 from oracles import cascaded_index, per_cell_simulated_sweep, per_cell_sweep_factors
 
 
@@ -52,14 +53,6 @@ def per_cascade_sweep_scenario():
         {"state": 1, "frequency": 1, "min": 0.0, "max": 1.0},
         {"state": 6, "frequency": 2, "min": 0.2, "max": 0.7},
     ]
-    return parse_scenario_dict(data)
-
-
-def long_holding_scenario():
-    """Bundled scenario with holding periods up to 8 slots, so the sweep solves the kernel."""
-    data = bundled_dict()
-    data["channel"]["max_holding"] = 8
-    data["channel"]["holding_pmf"] = [0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05]
     return parse_scenario_dict(data)
 
 

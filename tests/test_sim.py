@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -17,6 +18,7 @@ from remest import (
     load_bundled_scenario,
     make_policy,
     run,
+    sample_paths,
     step,
 )
 from remest import sim
@@ -29,6 +31,7 @@ from conftest import (
     example_channel,
     example_processes,
     example_scenario,
+    long_holding_scenario,
     random_semi_markov,
     scalar_process,
     single_sensor_scenario,
@@ -377,6 +380,94 @@ class TestRun:
             aoi = np.where(delivered, 1, aoi + 1)
 
 
+class TestInitialState:
+    """The start state is ``rng.choice(S, p=pi)``'s, from the same one draw."""
+
+    @staticmethod
+    def scenarios():
+        channels = [random_semi_markov(np.random.default_rng(k), levels=(2, 2)) for k in range(12)]
+        random_chains = [Scenario.build(example_processes(), channel) for channel in channels]
+        return [load_bundled_scenario().scenario, long_holding_scenario().scenario, *random_chains]
+
+    def test_matches_rng_choice_over_500_seeds(self):
+        for s in self.scenarios()[:4]:
+            pi = chain_stationary(s.chain)
+            for seed in range(500):
+                state = initial_state(s, seed)
+                rng = np.random.default_rng(seed)
+                assert state.channel_state == rng.choice(len(pi), p=pi)
+                assert state.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_draws_on_the_cdf_edges(self):
+        class Scripted(np.random.Generator):
+            """A generator whose ``random()`` returns one given draw."""
+
+            def __init__(self, draw):
+                super().__init__(np.random.PCG64(0))
+                self.draw = draw
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                return self.draw
+
+        # the running sums of pi end off 1 on some chains, where normalizing them matters
+        unnormalized = 0
+        for s in self.scenarios():
+            pi = chain_stationary(s.chain)
+            raw = np.cumsum(pi)
+            unnormalized += raw[-1] != 1.0
+            cdf = raw / raw[-1]
+            draws = np.concatenate([raw, cdf, np.nextafter(raw, 0.0), np.nextafter(cdf, 0.0)])
+            for u in [0.0, 1.0 - 1e-16, *draws[draws < 1.0]]:
+                want = Scripted(u).choice(len(pi), p=pi)
+                assert initial_state(s, Scripted(u)).channel_state == want
+        assert unnormalized
+
+
+def _stream_digest(scenario) -> str:
+    """sha256 of ``run()``'s actions, cycles, costs and checkpoints for 3 policies x 3 seeds,
+    of one full-physics bucket set and of one ``sample_paths`` block.
+
+    Integer streams enter bit for bit.  Floats enter at 10 significant digits,
+    because BLAS kernels for different CPUs sum the cost dot products in
+    different orders.
+    """
+    digest = hashlib.sha256()
+    values = []
+    for policy in sorted(POLICIES):
+        for seed in (1, 2, 3):
+            chunks = []
+            summary = run(scenario, make_policy(policy, scenario), horizon=2000, seed=seed,
+                          checkpoints=(10, 999), observer=chunks.append)
+            for chunk in chunks:
+                digest.update(chunk.actions.astype(np.int64).tobytes())
+            for cycles in summary.cycle_lengths:
+                digest.update(cycles.astype(np.int64).tobytes())
+            values += summary.avg_cost.tolist()
+            values += [summary.checkpoint_log_total[c] for c in (10, 999)]
+    physics = full_physics_run(scenario, make_policy("round-robin", scenario), horizon=2000,
+                               seed=4, burn_in=200, bucket_max=6)
+    digest.update(physics.mse_buckets.counts.astype(np.int64).tobytes())
+    values += physics.mse_buckets.mean_sq.ravel().tolist()
+    chain = scenario.chain
+    starts = [k for k in range(chain.num_states) if k not in chain.unreachable]
+    paths = sample_paths(chain, np.resize(starts, 50), 400, np.random.default_rng(5))
+    digest.update(paths.astype(np.int64).tobytes())
+    digest.update(" ".join(f"{v:.10e}" for v in values).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenStreams:
+    """The simulator's streams, pinned: a change to any of them must be deliberate."""
+
+    def test_bundled(self):
+        want = "bcfb2c25268b4670d1dcde9eb5cb3c3ad470b648c6da95d04d268d0e1ed12570"
+        assert _stream_digest(load_bundled_scenario().scenario) == want
+
+    def test_long_holding(self):
+        want = "26a254170774a0d187a80a26a24c7f6fb0b5667bdb65951c094890962d0bae9d"
+        assert _stream_digest(long_holding_scenario().scenario) == want
+
+
 class TestFullPhysics:
     def test_zero_dynamics_bucket_is_noise_variance(self):
         s = single_sensor_scenario(0.0, 0.5)
@@ -536,6 +627,42 @@ class TestInvalidActionsThroughRun:
         s = example_scenario()
         with pytest.raises(InvalidActionError, match="action vector must have length 3"):
             run(s, Misshapen(s.num_sensors, s.chain), horizon=50, seed=1)
+
+    @pytest.mark.parametrize("cells", [1, 4])
+    @pytest.mark.parametrize(
+        "faults, match",
+        [
+            ({3: [2, 2, 0], 5: [0, 3, 0]}, "frequency 2 assigned to more than one"),
+            ({3: [0, 3, 0], 5: [2, 2, 0]}, "action 3 outside 0..2"),
+            ({3: [1, 0, 1]}, "frequency 1 assigned to more than one"),
+            ({5: [0, 0, -1]}, "action -1 outside 0..2"),
+        ],
+    )
+    def test_first_fault_in_slot_order(self, cells, faults, match):
+        class Faulty:
+            """Sensors 0 and 1 on frequencies 1 and 2, but for the faults in the last cell."""
+
+            name = "faulty"
+
+            def reset(self):
+                pass
+
+            def _for_cells(self, drops):
+                return self
+
+            def plan(self, aoi, path, success):
+                actions = np.zeros((len(aoi), len(path), 3), dtype=int)
+                actions[..., :2] = [1, 2]
+                for slot, row in faults.items():
+                    actions[-1, slot] = row
+                return actions
+
+        s = example_scenario()
+        with pytest.raises(InvalidActionError, match=match):
+            if cells == 1:
+                run(s, Faulty(), horizon=50, seed=1)
+            else:
+                sim._run_cells(s, Faulty(), np.stack([s.chain.drops] * cells), 25, 1)
 
     def test_non_integer_plan(self):
         class Fractional(PersistentSerialPolicy):
