@@ -17,7 +17,6 @@ from .channel import (
     hazard,
     sample_path,
     sample_paths,
-    stationary_distribution,
 )
 from .errors import (
     DimensionMismatchError,

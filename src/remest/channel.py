@@ -4,7 +4,7 @@ The joint quality of the M frequencies holds for a random number of slots
 (the holding period, bounded by ``max_holding``) and then jumps according to
 a transition matrix over the composite quality states.  Pairing the quality
 state with its elapsed holding time yields an ordinary Markov chain, the
-"cascaded" chain, whose transition matrix everything downstream works with:
+"cascaded" chain, with transitions
 
     from (quality i, held delta):
         -> (quality j, 1)          with prob  T[i, j] * hazard(i, delta)
@@ -225,10 +225,12 @@ class CascadedChain:
 
     ``states[k]`` is the 0-based (quality, delta) pair of cascaded state k,
     with ``delta`` starting at 1.  ``drops[k, m-1]`` is the drop probability
-    of frequency ``m`` in cascaded state k.  ``unreachable`` flags cascaded
-    states that can never occur (their holding time has zero tail mass);
-    they are kept so indexing matches num_quality_states * max_holding, and
-    they receive no inbound probability.
+    of frequency ``m`` in cascaded state k.  ``transition`` is formed from
+    the semi-Markov source the chain keeps: ``quality_transition`` (m x m) and
+    ``hazards`` (m x max_holding, 1 where the holding period must end).
+    ``unreachable`` flags cascaded states that can never occur (their holding
+    time has zero tail mass); they are kept so indexing matches the hazards,
+    and they receive no inbound probability.
 
     Samplers invert the cumulative row sums, +inf from each row's last positive
     column on (rows may sum to 1 - 1e-6, and a draw above the sum lands there),
@@ -242,8 +244,8 @@ class CascadedChain:
     states: tuple[tuple[int, int], ...]
     transition: np.ndarray
     drops: np.ndarray
-    num_quality_states: int
-    max_holding: int
+    quality_transition: np.ndarray
+    hazards: np.ndarray
     unreachable: frozenset[int] = frozenset()
     _buckets: tuple = field(default=None, repr=False, compare=False)
     _stationary: list = field(default_factory=list, repr=False, compare=False)
@@ -280,7 +282,7 @@ class CascadedChain:
         drops = _as_matrix(drops, "drops")
         _check_shape(drops, self.drops.shape, "drops")
         _check_probabilities(drops, "drops")
-        return replace(self, drops=drops)  # shares the sampling tables and pi
+        return replace(self, drops=drops)  # shares the source, the sampling tables and pi
 
 
 def _bfs_levels(adj: np.ndarray) -> np.ndarray:
@@ -344,8 +346,8 @@ def build_cascaded_chain(model: SemiMarkovChannelModel) -> CascadedChain:
         states=states,
         transition=mtil,
         drops=drops,
-        num_quality_states=m_bar,
-        max_holding=d_max,
+        quality_transition=model.transition.copy(),
+        hazards=h,
         unreachable=frozenset(np.flatnonzero(~reachable).tolist()),
     )
 
@@ -445,30 +447,24 @@ def sample_paths(
 
 
 def chain_stationary(chain: CascadedChain) -> np.ndarray:
-    """Stationary distribution over cascaded states (zeros on unreachable ones).
+    """Stationary law over cascaded states, ``pi(i, k) ~ nu_i P(H_i >= k)``.
 
-    The result is computed once per chain and returned read-only on every
-    later call.
+    The Markov-renewal form (Cinlar, "Markov renewal theory", Adv. Appl. Prob.
+    1, 1969): ``nu`` is the stationary law of ``quality_transition`` and the
+    tail is the product of ``1 - h(i, r)`` over r < k, so every entry is
+    accurate relative to itself and an unreachable held time gets exactly 0.
+    Computed once per chain; every call returns the same read-only array.
     """
     if chain._stationary:
         return chain._stationary[0]
-    feasible = [k for k in range(chain.num_states) if k not in chain.unreachable]
-    pi = np.zeros(chain.num_states)
-    pi[feasible] = stationary_distribution(chain.transition[np.ix_(feasible, feasible)])
+    stay = np.ones_like(chain.hazards)  # P(H >= 1) = 1
+    stay[:, 1:] = 1.0 - chain.hazards[:, :-1]
+    pi = (_stationary_solve(chain.quality_transition)[:, None] * np.cumprod(stay, axis=1)).ravel()
+    pi /= pi.sum()
     pi.flags.writeable = False
     cdf = np.cumsum(pi)
     chain._stationary.extend((pi, (cdf / cdf[-1]).tolist()))  # as ``rng.choice(p=pi)`` builds it
     return pi
-
-
-def stationary_distribution(p: np.ndarray) -> np.ndarray:
-    """Stationary probability vector of ``p``, checked to be an irreducible aperiodic chain."""
-    p = _as_matrix(p, "transition matrix")
-    n = p.shape[0]
-    _check_shape(p, (n, n), "transition matrix")
-    _check_stochastic_rows(p, "transition matrix")
-    _validate_chain(p, list(range(n)))
-    return _stationary_solve(p)
 
 
 def _stationary_solve(p: np.ndarray) -> np.ndarray:

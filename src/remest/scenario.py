@@ -295,7 +295,7 @@ def _parse_sim(data, path: str) -> SimSpec:
         raise ScenarioValidationError("expected a mapping", path)
     _reject_unknown(data, {"policy", "horizon", "seeds"}, path)
     policy = data.get("policy", "persistent-serial")
-    if policy not in POLICIES:
+    if not isinstance(policy, str) or policy not in POLICIES:
         raise ScenarioValidationError(
             f"unknown policy {policy!r}; choose from {sorted(POLICIES)}", f"{path}.policy"
         )

@@ -156,7 +156,7 @@ def _greedy_factors(drops: np.ndarray, transition: np.ndarray) -> float | np.nda
     return spectral_radius(drops.min(axis=-1)[..., None] * transition)
 
 
-def _kernel_factors(drops: np.ndarray, transition: np.ndarray, max_holding: int) -> np.ndarray:
+def _kernel_factors(drops: np.ndarray, chain: CascadedChain) -> np.ndarray:
     """``rho(V(v*) T)`` for a stack of drop tables, from the m x m Markov-renewal kernel.
 
     Each step takes the Perron vectors of ``A(e^t)`` from one ``eig`` (right
@@ -172,9 +172,10 @@ def _kernel_factors(drops: np.ndarray, transition: np.ndarray, max_holding: int)
     failed ``eig`` or ``inv`` raises ``np.linalg.LinAlgError``;
     :func:`_stack_factors` computes those cells by :func:`_greedy_factors`.
     """
-    m = transition.shape[0] // max_holding
-    jump = transition[:, ::max_holding].reshape(m, max_holding, m)
-    stay = np.append(transition.diagonal(1), 0.0).reshape(m, max_holding)
+    m, max_holding = chain.hazards.shape
+    # J and s from the chain's source, the products build_cascaded_chain puts in T
+    jump = chain.hazards[..., None] * chain.quality_transition[:, None, :]
+    stay = 1.0 - chain.hazards
     # d(i, k) s(i, k-1), with s(i, 0) = 1; w is the cumulative product of these times mu
     drop_stay = drops.min(axis=-1).reshape(-1, m, max_holding)
     drop_stay[:, :, 1:] *= stay[:, :-1]
@@ -247,10 +248,10 @@ def _stack_factors(drops: np.ndarray, chain: CascadedChain) -> np.ndarray:
     By :func:`_kernel_factors` from ``_KERNEL_MIN_HOLDING`` on, whatever the stack's size;
     by :func:`_greedy_factors` below it, and for the cells the kernel leaves NaN or raises on.
     """
-    if chain.max_holding < _KERNEL_MIN_HOLDING:
+    if chain.hazards.shape[1] < _KERNEL_MIN_HOLDING:
         return _greedy_factors(drops, chain.transition)
     try:
-        factor = _kernel_factors(drops, chain.transition, chain.max_holding)
+        factor = _kernel_factors(drops, chain)
     except np.linalg.LinAlgError:
         return _greedy_factors(drops, chain.transition)
     unsettled = np.isnan(factor)
@@ -368,8 +369,8 @@ class CycleAnalysis:
 def cycle_chain(chain: CascadedChain, tol_tail: float = 1e-12) -> CycleAnalysis:
     """Build the pre-cycle-state chain ``G = (I - F)^-1 S`` by one linear solve.
 
-    Only valid in the stable regime: a failure step of spectral radius >= 1
-    raises :class:`DivergentSeriesError`.  A solve residual
+    Only valid in the stable regime: a failure step of spectral radius >= 1,
+    or a singular ``I - F``, raises :class:`DivergentSeriesError`.  A residual
     ``max |(I - F) G - S|`` above ``tol_tail`` raises
     :class:`NonConvergentError`.  ``beta`` comes from the stationary solve
     without the aperiodicity test, since the pre-cycle chain may be periodic.
@@ -384,7 +385,10 @@ def cycle_chain(chain: CascadedChain, tol_tail: float = 1e-12) -> CycleAnalysis:
         )
 
     resolvent = np.eye(chain.num_states) - fail
-    g = np.linalg.solve(resolvent, success)
+    try:
+        g = np.linalg.solve(resolvent, success)
+    except np.linalg.LinAlgError as exc:  # a radius rounded below 1 on a chain that never succeeds
+        raise DivergentSeriesError("I - F is singular; cycle statistics undefined") from exc
     residual = float(np.max(np.abs(resolvent @ g - success)))
     if not residual <= tol_tail:  # a NaN residual fails too
         raise NonConvergentError(f"cycle solve residual {residual:.3e} exceeds {tol_tail}")

@@ -102,7 +102,7 @@ def sweep_stability(loaded: LoadedScenario, grid: tuple[int, int] | None = None)
     factor = np.empty(rows * cols)
     # a cell holds its drop table and kernel arrays of about sixteen m x m
     # floats, or below D = 5 its mD x mD failure matrix, which is no larger
-    chunk = max(1, _CHUNK_BYTES // (chain.drops.nbytes + 128 * chain.num_quality_states**2))
+    chunk = max(1, _CHUNK_BYTES // (chain.drops.nbytes + 128 * chain.quality_transition.size))
     for lo in range(0, factor.size, chunk):
         part = slice(lo, lo + chunk)
         drops = _cell_drops(chain.drops, masks, cell_v1[part], cell_v2[part])

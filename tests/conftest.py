@@ -98,6 +98,15 @@ def long_holding_scenario():
     return parse_scenario_dict(data)
 
 
+def thin_tail_scenario():
+    """Bundled scenario with holding pmf 0.5^k over 64 slots: a last entry of 5.4e-20."""
+    with open(bundled_scenario_path(), "rb") as fh:
+        data = yaml.safe_load(fh)
+    data["channel"]["max_holding"] = 64
+    data["channel"]["holding_pmf"] = [0.5**k for k in range(1, 65)]
+    return parse_scenario_dict(data)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

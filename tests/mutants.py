@@ -109,6 +109,23 @@ MUTANTS = (
         "step = step - du",
         ("tests/test_scenario_cli.py::TestSweep::test_kernel_cells_equal_their_own_chains_at_full_size",),
     ),
+    Mutant(
+        "the stationary law weighs each held time by P(H > k) instead of P(H >= k)",
+        "remest/channel.py",
+        "np.cumprod(stay, axis=1)",
+        "np.cumprod(1.0 - chain.hazards, axis=1)",
+        (
+            "tests/test_channel.py::TestStationaryDistribution::test_renewal_form_matches_power_oracle",
+            "tests/test_channel.py::TestStationaryDistribution::test_thin_tail_pi_meets_its_own_balance_equations",
+        ),
+    ),
+    Mutant(
+        "a singular cycle solve escapes as LinAlgError",
+        "remest/stability.py",
+        "except np.linalg.LinAlgError as exc:",
+        "except ZeroDivisionError as exc:",
+        ("tests/test_stability.py::TestCycleChain::test_all_drop_chain_whose_radius_rounds_below_one_is_divergent",),
+    ),
 )
 
 

@@ -650,7 +650,7 @@ def reference_trace(scenario, policy_name: str, horizon: int, seed, trace_slots:
 
 def cascaded_index(chain, quality: int, delta: int) -> int:
     """Index of cascaded state (quality, delta): quality-major, delta from 1."""
-    return quality * chain.max_holding + (delta - 1)
+    return quality * chain.hazards.shape[1] + (delta - 1)
 
 
 def growth_rate(cost_fn, i_max: int) -> float:

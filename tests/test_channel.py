@@ -19,11 +19,10 @@ from remest import (
     load_bundled_scenario,
     sample_path,
     sample_paths,
-    stationary_distribution,
 )
-from remest.channel import _validate_chain, frequency_ranking
+from remest.channel import _stationary_solve, _validate_chain, frequency_ranking
 
-from conftest import bernoulli_channel, example_channel, random_semi_markov
+from conftest import bernoulli_channel, example_channel, random_semi_markov, thin_tail_scenario
 from oracles import (
     cascaded_index,
     harvest_holding_periods,
@@ -376,8 +375,8 @@ class TestSampling:
             states=((0, 1), (0, 2)),
             transition=np.array([[0.0, 1.0], [1.0, 0.0]]),
             drops=np.array([[0.5], [0.5]]),
-            num_quality_states=1,
-            max_holding=2,
+            quality_transition=np.array([[1.0]]),
+            hazards=np.array([[0.0, 1.0]]),
         )
         assert all(sample_next(chain, 0, rng) == 1 for _ in range(50))
         assert all(sample_next(chain, 1, rng) == 0 for _ in range(50))
@@ -577,23 +576,22 @@ class TestSampling:
 
 
 class TestStationaryDistribution:
+    """The LU solve on irreducible chains, periodic ones included, and the renewal-form pi."""
+
     def test_symmetric_two_state(self):
-        pi = stationary_distribution(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        pi = _stationary_solve(np.array([[0.5, 0.5], [0.5, 0.5]]))
         np.testing.assert_allclose(pi, [0.5, 0.5], atol=1e-12)
 
-    def test_periodic_rejected(self):
-        with pytest.raises(PeriodicChainError):
-            stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-    def test_reducible_rejected(self):
-        with pytest.raises(NotIrreducibleError):
-            stationary_distribution(np.eye(3))
+    def test_periodic_chain_has_its_unique_vector(self):
+        # the cycle-opening chain may be periodic; its stationary vector is still unique
+        pi = _stationary_solve(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        np.testing.assert_allclose(pi, [0.5, 0.5], rtol=0, atol=1e-15)
 
     def test_matches_power_oracle(self, rng):
         for _ in range(10):
             p = rng.uniform(0.01, 1.0, size=(5, 5))
             p /= p.sum(axis=1, keepdims=True)
-            pi = stationary_distribution(p)
+            pi = _stationary_solve(p)
             want = power_method_stationary(p, power=1000)
             np.testing.assert_allclose(pi, want, atol=1e-8)
             assert pi.min() > 0
@@ -620,14 +618,43 @@ class TestStationaryDistribution:
                 p = np.where(block[:, None] == block[None, :], p, shape * p)
             p /= p.sum(axis=1, keepdims=True)
             want = power_method_stationary(p, power=2**40)
-            np.testing.assert_allclose(stationary_distribution(p), want, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(_stationary_solve(p), want, rtol=0, atol=1e-13)
 
     def test_fixed_point_property(self, rng):
         p = rng.uniform(0.05, 1.0, size=(6, 6))
         p /= p.sum(axis=1, keepdims=True)
-        pi = stationary_distribution(p)
+        pi = _stationary_solve(p)
         np.testing.assert_allclose(pi @ p, pi, atol=1e-10)
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_renewal_form_matches_power_oracle(self, rng):
+        """To 1e-13 against the cascaded matrix, with zeros at every place in the pmfs.
+
+        A zero at the head or in the middle gives a reachable held time of
+        hazard 0; zeros at the tail give unreachable held times, which get 0.
+        """
+        seen = {"hazard 0": 0, "unreachable": 0}
+        for _ in range(30):
+            model = random_semi_markov(rng, levels=(2, 2), max_holding=int(rng.integers(2, 7)))
+            pmf = model.holding_pmf * (rng.random(model.holding_pmf.shape) < 0.6)
+            pmf[0, 0] = 0.5  # a one-slot hold and T[0, 0] > 0: a self-loop, so aperiodic
+            pmf[~pmf.any(axis=1), -1] = 1.0
+            chain = build_cascaded_chain(replace(model, holding_pmf=pmf / pmf.sum(axis=1)[:, None]))
+            pi = chain_stationary(chain)
+            want = power_method_stationary(chain.transition, power=2**40)
+            np.testing.assert_allclose(pi, want, rtol=0, atol=1e-13)
+            unreachable = sorted(chain.unreachable)
+            assert np.all(pi[unreachable] == 0.0) and np.delete(pi, unreachable).min() > 0.0
+            seen["unreachable"] += bool(unreachable)
+            seen["hazard 0"] += bool(np.any(np.delete(chain.hazards.ravel(), unreachable) == 0.0))
+        assert min(seen.values()) >= 5, seen
+
+    def test_thin_tail_pi_meets_its_own_balance_equations(self):
+        # pmf 0.5^k over 64 slots: pi reaches 1e-20, past any absolute solve tolerance
+        chain = thin_tail_scenario().scenario.chain
+        pi = chain_stationary(chain)
+        assert pi.min() > 0.0 and pi.sum() == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_allclose(pi @ chain.transition, pi, rtol=1e-12, atol=0.0)
 
     def test_chain_stationary_cached_and_shared_by_with_drops(self):
         chain = build_cascaded_chain(example_channel())

@@ -1,3 +1,4 @@
+import copy
 import math
 import time
 from dataclasses import fields, replace
@@ -9,6 +10,7 @@ import yaml
 from remest import (
     NonConvergentError,
     ProcessModel,
+    ScenarioError,
     ScenarioParseError,
     ScenarioValidationError,
     SemiMarkovChannelModel,
@@ -137,11 +139,13 @@ class TestLoadScenario:
         loaded = parse_scenario_dict(data)
         np.testing.assert_allclose(loaded.scenario.chain.drops, [[0.1, 0.2]] * 8)
 
-    def test_bad_policy_name(self):
+    @pytest.mark.parametrize("policy", ["mdp-optimal", ["round-robin"], {"name": "round-robin"}])
+    def test_bad_policy_name(self, policy):
         data = bundled_dict()
-        data["sim"]["policy"] = "mdp-optimal"
-        with pytest.raises(ScenarioValidationError, match=r"sim\.policy"):
+        data["sim"]["policy"] = policy
+        with pytest.raises(ScenarioValidationError) as exc:
             parse_scenario_dict(data)
+        assert exc.value.path == "sim.policy"
 
     def test_axis_frequency_out_of_range(self):
         data = bundled_dict()
@@ -206,16 +210,21 @@ MODEL_FAULTS = {
 }
 
 
-def faulty_dict(keys, value):
-    data = bundled_dict()
-    if keys[0] == "drops":
-        del data["sweep"]  # its level axes would need a per_level table
+def replace_node(data, keys, value):
+    """``data`` with its node at the key path ``keys`` set to ``value``, in place."""
     *head, last = keys
     node = data
     for k in head:
         node = node[k]
     node[last] = value
     return data
+
+
+def faulty_dict(keys, value):
+    data = bundled_dict()
+    if keys[0] == "drops":
+        del data["sweep"]  # its level axes would need a per_level table
+    return replace_node(data, keys, value)
 
 
 class TestPathContract:
@@ -248,6 +257,40 @@ class TestPathContract:
     def test_every_model_field_has_a_path(self):
         inputs = {f.name for model in (SemiMarkovChannelModel, ProcessModel) for f in fields(model)}
         assert inputs <= set(_FIELD_PATHS)
+
+
+def node_paths(node, path=()):
+    """Key paths of every mapping value and list entry below ``node``, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+class TestScenarioMutations:
+    def test_every_field_replaced_loads_or_raises_a_scenario_error(self):
+        """Each of the bundled document's 101 nodes, replaced by each of 17 values of every kind.
+
+        A 1e308 noise or sensor entry overflows the Kalman step before the
+        loader rejects it; only the exception type is checked here.
+        """
+        base = bundled_dict()
+        rng = np.random.default_rng(26)
+        outcomes = {"loads": 0, "rejected": 0}
+        for path in list(node_paths(base)):
+            x, k = float(rng.uniform(0.0, 3.0)), int(rng.integers(0, 5))
+            for value in (
+                None, "", "round-robin", [], [x], [[x, -x]], {}, {"a": k}, {"min": x},
+                k, -x, x, True, False, math.nan, math.inf, 1e308,
+            ):
+                data = replace_node(copy.deepcopy(base), path, value)
+                try:
+                    with np.errstate(over="ignore"):
+                        parse_scenario_dict(data)
+                    outcomes["loads"] += 1
+                except ScenarioError:
+                    outcomes["rejected"] += 1
+        assert sum(outcomes.values()) == 101 * 17 and min(outcomes.values()) >= 50, outcomes
 
 
 class TestSweep:

@@ -35,6 +35,7 @@ from conftest import (
     random_semi_markov,
     scalar_process,
     single_sensor_scenario,
+    thin_tail_scenario,
 )
 from oracles import cascaded_index, greedy_frequency_for, reference_policy, reference_run
 from oracles import format_trace, reference_trace, tv_distance
@@ -237,6 +238,14 @@ class TestRun:
         assert a.checkpoint_log_total == b.checkpoint_log_total
         for ca, cb in zip(a.cycle_lengths, b.cycle_lengths):
             np.testing.assert_array_equal(ca, cb)
+
+    def test_thin_tail_chain_simulates(self):
+        # holding pmf 0.5^k over 64 slots: start states are drawn from a pi that reaches 1e-20
+        s = thin_tail_scenario().scenario
+        for policy in sorted(POLICIES):
+            for seed in (1, 2, 3):
+                summary = run(s, make_policy(policy, s), horizon=2000, seed=seed)
+                assert np.all(np.isfinite(summary.avg_cost))
 
     def test_matches_manual_step_loop(self):
         s = example_scenario()

@@ -325,7 +325,7 @@ def _drop_stack(rng, chain, cells: int = 6) -> np.ndarray:
 
 
 def _assert_kernel_matches_dense(chain, drops):
-    got = _kernel_factors(drops, chain.transition, chain.max_holding)
+    got = _kernel_factors(drops, chain)
     want = [eig_spectral_radius(d.min(axis=1)[:, None] * chain.transition) for d in drops]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
     return got
@@ -388,7 +388,7 @@ class TestKernelFactors:
         chain = build_cascaded_chain(random_semi_markov(rng, levels=(2, 2), max_holding=6))
         drops = _drop_stack(rng, chain, cells=3)
         drops[1] = 0.0  # an all-zero kernel between two ordinary cells
-        got = _kernel_factors(drops, chain.transition, chain.max_holding)
+        got = _kernel_factors(drops, chain)
         assert got[1] == 0.0 and np.all(got[[0, 2]] > 0.0)
 
     def test_nilpotent_kernel_gives_exactly_zero(self):
@@ -401,7 +401,7 @@ class TestKernelFactors:
             level_drops=((0.7, 0.0),),
         )
         chain = build_cascaded_chain(model)
-        assert _kernel_factors(chain.drops[None], chain.transition, chain.max_holding)[0] == 0.0
+        assert _kernel_factors(chain.drops[None], chain)[0] == 0.0
 
     def test_tiny_factor_settles_on_the_kernel(self):
         # a near-certain success on entering each quality, then certain drops
@@ -415,11 +415,11 @@ class TestKernelFactors:
         )
         chain = build_cascaded_chain(model)
         drops = np.stack([np.full_like(chain.drops, 0.5), chain.drops, np.full_like(chain.drops, 0.7)])
-        got = _kernel_factors(drops, chain.transition, chain.max_holding)
+        got = _kernel_factors(drops, chain)
         dense = _greedy_factors(drops, chain.transition)
         np.testing.assert_allclose(got, dense, rtol=1e-13, atol=0.0)
         assert got[1] < 1e-7
-        alone = [_kernel_factors(d[None], chain.transition, 8)[0] for d in drops]
+        alone = [_kernel_factors(d[None], chain)[0] for d in drops]
         assert np.array_equal(got, alone)
 
     def test_overflowing_cell_is_nan_and_goes_dense(self):
@@ -434,9 +434,9 @@ class TestKernelFactors:
         )
         chain = build_cascaded_chain(model)
         drops = np.stack([np.full_like(chain.drops, 0.5), chain.drops, np.full_like(chain.drops, 0.7)])
-        got = _kernel_factors(drops, chain.transition, chain.max_holding)
+        got = _kernel_factors(drops, chain)
         assert np.isnan(got[1])
-        alone = [_kernel_factors(d[None], chain.transition, 8)[0] for d in drops[[0, 2]]]
+        alone = [_kernel_factors(d[None], chain)[0] for d in drops[[0, 2]]]
         assert np.array_equal(got[[0, 2]], alone)
 
         swept = _stack_factors(drops, chain)
@@ -475,7 +475,7 @@ class TestSingleChainKernel:
             assert lam == pytest.approx(gelfand_spectral_radius(mat), rel=1e-12, abs=0.0)
             assert cycle_chain(chain).fail_radius == lam
             # the kernel root itself, not the dense eigensolve's rounding
-            assert lam == _kernel_factors(chain.drops[None], chain.transition, max_holding)[0]
+            assert lam == _kernel_factors(chain.drops[None], chain)[0]
 
     @pytest.mark.parametrize("make", SINGLE_KERNEL_MODELS.values(), ids=SINGLE_KERNEL_MODELS)
     def test_root_takes_few_eigensolves(self, rng, make, monkeypatch):
@@ -577,6 +577,21 @@ class TestCycleChain:
     def test_divergent_when_no_success_possible(self):
         chain = build_cascaded_chain(bernoulli_channel(1.0))
         with pytest.raises(DivergentSeriesError):
+            cycle_chain(chain)
+
+    def test_all_drop_chain_whose_radius_rounds_below_one_is_divergent(self):
+        # every slot drops, so F = T, but its computed radius is 0.9999999999999993:
+        # the guard on rho passes and I - F is singular
+        chain = build_cascaded_chain(
+            SemiMarkovChannelModel(
+                levels_per_frequency=(1,),
+                transition=[[1.0]],
+                holding_pmf=[0.0, 0.731, 0.269],
+                level_drops=((1.0,),),
+            )
+        )
+        assert current_csi_factor(chain)[0] < 1.0
+        with pytest.raises(DivergentSeriesError, match="singular"):
             cycle_chain(chain)
 
     def test_example_chain_structure(self):
