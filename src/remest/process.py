@@ -37,7 +37,7 @@ _MAX_DOUBLINGS = 64  # Kalman doublings before giving up: 2^64 filter steps
 
 def min_eigenvalue(x: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix (for PSD checks)."""
-    return float(np.min(np.linalg.eigvalsh((x + x.T) / 2.0)))
+    return float(np.min(np.linalg.eigvalsh(x / 2.0 + x.T / 2.0)))  # halves cannot overflow
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,10 @@ def _update(model: ProcessModel, predicted: np.ndarray) -> tuple[np.ndarray, np.
     return (updated + updated.T) / 2.0, gain
 
 
-def _divergence_cause(model: ProcessModel) -> str:
+def _divergence_cause(model: ProcessModel, moved: float) -> str:
     """The mode with |z| >= 1 that (A, C) or (A, W^1/2) misses, by the PBH rank test at z.
 
-    ``[A - z I, W]`` has the range of ``[A - z I, W^1/2]``.
+    ``[A - z I, W]`` has the range of ``[A - z I, W^1/2]``; else a non-finite ``moved`` overflowed.
     """
     eye, unstable = np.eye(model.state_dim), [z for z in np.linalg.eigvals(model.A) if abs(z) >= 1]
     for a, b, cause in (
@@ -120,7 +120,8 @@ def _divergence_cause(model: ProcessModel) -> str:
             s = np.linalg.svd(np.hstack([a - z * eye, b]), compute_uv=False)
             if s[-1] <= 1e-9 * s[0]:
                 return f"the mode of A at eigenvalue {z:.6g} {cause}"
-    return "no mode of A on or outside the unit circle is unobserved or noiseless"
+    overflow = "" if math.isfinite(moved) else "; the covariance overflows the float range"
+    return f"no mode of A on or outside the unit circle is unobserved or noiseless{overflow}"
 
 
 def steady_state_covariance(model: ProcessModel, tol: float = 1e-12) -> SteadyStateKF:
@@ -138,9 +139,9 @@ def steady_state_covariance(model: ProcessModel, tol: float = 1e-12) -> SteadySt
     if tol <= 0:
         raise ValueError("tol must be positive")
     l = model.state_dim
-    a, g, h = model.A.T, model.C.T @ np.linalg.solve(model.Z, model.C), model.W
-    # an undetectable mode overflows; ``settled`` reports it, not a warning
+    # an undetectable mode or an entry near the float range overflows: reported, not warned
     with np.errstate(over="ignore", invalid="ignore"):
+        a, g, h = model.A.T, model.C.T @ np.linalg.solve(model.Z, model.C), model.W
         for k in range(_MAX_DOUBLINGS):
             x = np.linalg.solve(np.eye(l) + g @ h, np.hstack([a, g]))  # (I + G H)^-1 [A, G]
             g_next, h_next = g + a @ x[:, l:] @ a.T, h + a.T @ h @ x[:, :l]
@@ -149,15 +150,15 @@ def steady_state_covariance(model: ProcessModel, tol: float = 1e-12) -> SteadySt
             settled = moved <= 1e-15 * float(np.max(np.abs(h))) < math.inf
             if settled or not math.isfinite(moved):
                 break
-    if not settled:
-        raise NonConvergentError(
-            f"Kalman covariance doubling did not settle in {k + 1} doublings (last move "
-            f"{moved:.3e}); {_divergence_cause(model)}"
-        )
-    p, _ = _update(model, h)
-    predicted = model.A @ p @ model.A.T + model.W  # the polishing step
-    p_next, gain = _update(model, predicted)
-    residual = float(np.max(np.abs(p_next - p)))
+        if not settled:
+            raise NonConvergentError(
+                f"Kalman covariance doubling did not settle in {k + 1} doublings (last move "
+                f"{moved:.3e}); {_divergence_cause(model, moved)}"
+            )
+        p, _ = _update(model, h)
+        predicted = model.A @ p @ model.A.T + model.W  # the polishing step
+        p_next, gain = _update(model, predicted)
+        residual = float(np.max(np.abs(p_next - p)))
     if not residual <= tol * max(1.0, float(np.max(np.abs(predicted)))):
         raise NonConvergentError(f"Kalman one-step residual {residual:.3e} exceeds tol={tol}")
     return SteadyStateKF(covariance=p_next, gain=gain, residual=residual)

@@ -29,7 +29,9 @@ over held time of ``d(i, k) mu s(i, k-1)``: mu^k is never formed on its own
 1973): with l and r the Perron vectors of A(e^t), the scalar model
 ``q(u) = l^T A(e^(t+u)) r / l^T r = sum_k c_k e^(k u)`` matches rho and its
 slope at u = 0, and solving ``q = 1``, rather than taking one Newton step on
-f, about squares the error per eigensolve; a typical chain settles in four.
+f, about squares the error per step.  Noda's inverse iteration (Numer. Math. 17,
+1971) refines the vectors, its Collatz-Wielandt ratios ``(A r)_i / r_i`` bracket
+rho at every step, and a typical chain settles in six or seven steps.
 Every current-CSI factor, of a chain or of a sweep cell, uses this form from
 ``_KERNEL_MIN_HOLDING`` on and the dense eigensolve below it (``_stack_factors``).
 
@@ -159,55 +161,58 @@ def _greedy_factors(drops: np.ndarray, transition: np.ndarray) -> float | np.nda
 def _kernel_factors(drops: np.ndarray, chain: CascadedChain) -> np.ndarray:
     """``rho(V(v*) T)`` for a stack of drop tables, from the m x m Markov-renewal kernel.
 
-    Each step takes the Perron vectors of ``A(e^t)`` from one ``eig`` (right
-    from V, left from the matching row of V^-1) and solves the Rayleigh
-    functional's ``sum_k c_k e^(k u) = 1``, ``c_k = l . (w_k o J_k r) / l . r``,
-    by scalar Newton steps from u = 0; the first is Newton's step on f (see
-    the module docstring), whose value f is taken as ``log sum_k c_k``.  Every
-    evaluation narrows the bracket to ``[t - f, t - f/D]``, and a step that
-    leaves it is replaced by bisection.  A cell stops when its own step is at
-    most four ulps, so its bits depend on its drop table alone.  A nilpotent
-    kernel gives exactly 0.  A cell whose kernel passes the float range, or
-    that has not settled after ``_KERNEL_MAX_STEPS`` steps, gives NaN, and a
-    failed ``eig`` or ``inv`` raises ``np.linalg.LinAlgError``;
+    Each step is one Noda step per cell, from r = l = 1: the Collatz-Wielandt ratios
+    ``(A r)_i / r_i`` over r's support bound rho, narrow the bracket on t through
+    ``[t - f, t - f/D]`` and shift one batched solve for r and, transposed, for l by
+    ``sigma = max ratio * (1 + 4 eps) >= rho``; an r whose ratios are all equal is exact and
+    stays.  Scalar Newton steps from u = 0 then solve ``sum_k c_k e^(k u) = 1``, ``c_k =
+    l . (w_k o J_k r) / l . r``, and a step that leaves the bracket is replaced by bisection.
+    r is 0 on the rows that lead to no cycle, so a nilpotent kernel's bound and factor are 0.
+    A cell stops when its own step is at most four ulps, so its bits depend on its drop table
+    alone.  A cell whose kernel passes the float range, or that has not settled after
+    ``_KERNEL_MAX_STEPS`` steps, gives NaN, and a singular shift raises ``LinAlgError``;
     :func:`_stack_factors` computes those cells by :func:`_greedy_factors`.
     """
     m, max_holding = chain.hazards.shape
-    # J and s from the chain's source, the products build_cascaded_chain puts in T
-    jump = chain.hazards[..., None] * chain.quality_transition[:, None, :]
-    stay = 1.0 - chain.hazards
     # d(i, k) s(i, k-1), with s(i, 0) = 1; w is the cumulative product of these times mu
     drop_stay = drops.min(axis=-1).reshape(-1, m, max_holding)
-    drop_stay[:, :, 1:] *= stay[:, :-1]
-    held = np.arange(1.0, max_holding + 1)
-    factor = np.zeros(len(drop_stay))
-    live = np.arange(len(drop_stay))
-    t, lo, hi = np.zeros(len(live)), np.full(len(live), -np.inf), np.full(len(live), np.inf)
-    for _ in range(_KERNEL_MAX_STEPS):
-        if not live.size:
-            return factor
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = np.cumprod(drop_stay[live] * np.exp(t)[:, None, None], axis=-1)
-            a = np.einsum("cik,ikj->cij", w, jump)
-        finite = np.isfinite(a).all(axis=(1, 2))
-        factor[live[~finite]] = np.nan  # a kernel past the float range leaves as NaN
-        vals, vecs = np.linalg.eig(np.where(finite[:, None, None], a, 0.0))
-        keep = np.abs(vals).max(axis=-1) > 0.0  # so does a nilpotent kernel, with factor 0
-        live, t, lo, hi, w, vals, vecs = (x[keep] for x in (live, t, lo, hi, w, vals, vecs))
-        rows = np.arange(live.size)
-        perron = np.argmax(vals.real, axis=-1)
-        # a conjugate pair's columns replaced by their real and imaginary parts
-        # span the same plane, so row perron of the inverse is still the left vector
-        basis = np.where(vals.imag[:, None, :] < 0.0, vecs.imag, vecs.real)
-        left = np.linalg.inv(basis)[rows, perron]
-        right = basis[rows, :, perron]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # q(u) = sum_k c_k e^(k u); f = log q(0), the Perron root's Rayleigh quotient
-            c = (left[:, :, None] * w * (jump * right[:, None, None, :]).sum(axis=-1)).sum(axis=1)
-            c /= (left * right).sum(axis=-1)[:, None]
-            f = np.log(c.sum(axis=-1))
-            lo = np.maximum(lo, np.minimum(t - f, t - f / max_holding))
-            hi = np.minimum(hi, np.maximum(t - f, t - f / max_holding))
+    drop_stay[:, :, 1:] *= 1.0 - chain.hazards[:, :-1]
+    transition, held, eye = chain.quality_transition, np.arange(1.0, max_holding + 1), np.eye(m)
+    # rows that lead to a cycle: qualities that drop before they jump, into such a row
+    active = (np.cumprod(drop_stay > 0.0, axis=-1) * chain.hazards > 0.0).any(axis=-1)
+    while ((kept := active & (active @ (transition > 0.0).T)) != active).any():
+        active = kept
+    factor, n = np.zeros(len(drop_stay)), len(drop_stay)
+    state = (np.arange(n), drop_stay, active, active * 1.0, np.ones((n, m)), np.zeros(n),
+             np.full(n, -np.inf), np.full(n, np.inf))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_KERNEL_MAX_STEPS):
+            live, drop_stay, active, right, left, t, lo, hi = state
+            if not live.size:
+                return factor
+            # w(i, k) h(i, k): a jump row is h(i, k) T[i, :], so A = diag(g) T, g = sum_k w h
+            wh = np.cumprod(drop_stay * np.exp(t)[:, None, None], axis=-1) * chain.hazards
+            g = wh.sum(axis=-1)
+            ar = g * (transition @ right[..., None])[..., 0]
+            top = np.fmax.reduce(ar / right, axis=-1, initial=0.0)
+            bottom = np.fmin.reduce(ar / right, axis=-1, initial=np.inf)
+            keep = (top > 0.0) & (finite := np.isfinite(ar).all(axis=-1))
+            if not keep.all():  # a kernel past the float range leaves as NaN, a zero bound as 0
+                factor[live[~finite]] = np.nan
+                live, drop_stay, active, right, left, t, lo, hi, wh, g, top, bottom = (
+                    x[keep] for x in (live, drop_stay, active, right, left, t, lo, hi, wh, g, top, bottom))
+            shifted = (top * (1.0 + 4.0 * _EPS))[:, None, None] * eye - g[..., None] * transition
+            shifted[bottom == top] = eye
+            vecs = np.linalg.solve(np.concatenate([shifted, shifted.transpose(0, 2, 1)]),
+                                   np.concatenate([right, left])[..., None])[..., 0]
+            vecs /= vecs.max(axis=-1, keepdims=True)
+            right, left = vecs[: live.size] * active, vecs[live.size :]
+            # q(u) = sum_k c_k e^(k u), c_k = sum_i l_i w(i, k) h(i, k) (T r)_i / l . r
+            lt = left * (transition @ right[..., None])[..., 0]
+            c = (lt[:, None, :] @ wh)[:, 0] / (left * right).sum(axis=-1)[:, None]
+            upper, lower = np.log(top), np.log(bottom)
+            lo = np.maximum(lo, t - np.maximum(upper, upper / max_holding))
+            hi = np.minimum(hi, t - np.minimum(lower, lower / max_holding))
             step, moving = t.copy(), np.ones(live.size, dtype=bool)
             for _ in range(_KERNEL_MAX_STEPS):
                 e = c * np.exp(held * (step - t)[:, None])
@@ -217,11 +222,13 @@ def _kernel_factors(drops: np.ndarray, chain: CascadedChain) -> np.ndarray:
                 moving &= np.abs(du) > 4.0 * _EPS * np.maximum(1.0, np.abs(step))
                 if not moving.any():
                     break
-        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
-        done = np.abs(step - t) <= 4.0 * _EPS * np.maximum(1.0, np.abs(t))
-        factor[live[done]] = np.exp(-step[done])
-        live, t, lo, hi = live[~done], step[~done], lo[~done], hi[~done]
-    factor[live] = np.nan  # not settled within _KERNEL_MAX_STEPS
+            step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+            done = np.abs(step - t) <= 4.0 * _EPS * np.maximum(1.0, np.abs(t))
+            state = live, drop_stay, active, right, left, step, lo, hi
+            if done.any():
+                factor[live[done]] = np.exp(-step[done])
+                state = tuple(x[~done] for x in state)
+    factor[state[0]] = np.nan  # not settled within _KERNEL_MAX_STEPS
     return factor
 
 
@@ -229,17 +236,17 @@ def _kernel_factors(drops: np.ndarray, chain: CascadedChain) -> np.ndarray:
 # instead of the mD x mD cascaded eigenproblem.  Measured crossover, dense time
 # over kernel time for a 441-cell sweep of random chains in the sweep's
 # chunks, then for one chain (2 vCPUs, one BLAS thread, numpy 2.4):
-#     m \ D     2     3     4     5     6     8    |    5     6     8    12
-#      2      0.37  0.40  0.84  1.13  1.37  1.94   |  0.05  0.07  0.11  0.17
-#      3      0.32  0.65  1.06  1.36  2.04  3.07   |  0.08  0.09  0.18  0.36
-#      4      0.33  0.61  0.88  1.30  2.52  3.38   |  0.12  0.17  0.31  0.58
-#      6      0.34  0.65  1.18  2.10  2.64  6.28   |  0.21  0.31  0.49  1.14
-#      8      0.38  0.65  1.40  2.32  2.88  5.92   |  0.41  0.67  0.97  3.69
-#     12      0.40  0.89  1.85  1.77  2.92  9.55   |  0.93  0.79  3.60  7.46
-#     16      0.50  0.76  1.63  3.76  3.86 10.55   |  1.40  2.65  5.56 11.73
-# From D = 5 a sweep never loses; one small chain does, by up to about
-# 0.6 ms, and in return a chain and its sweep cell get the same bits.
-_KERNEL_MIN_HOLDING = 5
+#     m \ D     2     3     4     5     6     8    |    4     5     6     8    12
+#      2      0.31  0.89  1.47  2.06  2.12  4.77   |  0.05  0.05  0.12  0.10  0.15
+#      3      0.80  1.52  2.15  4.29  3.51  6.33   |  0.05  0.07  0.10  0.17  0.35
+#      4      0.80  1.49  4.50  3.03  6.61  5.91   |  0.11  0.08  0.15  0.15  0.49
+#      6      1.03  1.73  4.01  3.29  4.49  9.58   |  0.13  0.15  0.24  0.47  1.16
+#      8      1.34  3.79  4.03  3.90 11.73 17.84   |  0.23  0.38  0.57  0.69  3.55
+#     12      2.05  4.01  3.65 11.20  7.97 31.98   |  0.50  0.56  1.02  2.82  5.01
+#     16      1.84  3.51  5.90 14.16 20.65 56.44   |  0.61  1.92  2.41  6.05 10.67
+# From D = 4 a sweep never loses (at D = 3, m = 2 and 4 did on other draws); one
+# small chain does, by up to about 0.8 ms, and a chain and its sweep cell share bits.
+_KERNEL_MIN_HOLDING = 4
 
 
 def _stack_factors(drops: np.ndarray, chain: CascadedChain) -> np.ndarray:

@@ -30,8 +30,8 @@ from .channel import CascadedChain, _check_probabilities
 from .errors import ScenarioValidationError
 from .scenario import AxisSpec, LoadedScenario, SweepSpec, _axis_masks
 from .sim import Scenario, _run_cells, make_policy
-from .stability import STABLE, StabilityReport, _stack_factors, evaluate_current_csi
-from .stability import evaluate_delayed_csi, max_plant_spectral_radius, verdict_for
+from .stability import _KERNEL_MIN_HOLDING, STABLE, StabilityReport, _stack_factors
+from .stability import evaluate_current_csi, evaluate_delayed_csi, max_plant_spectral_radius, verdict_for
 
 _CHUNK_BYTES = 1 << 18  # bytes per chunk of cells: failure matrices or kernel arrays
 _CSV_BLOCK = 4096  # sweep rows formatted per write, so memory stays flat
@@ -100,9 +100,11 @@ def sweep_stability(loaded: LoadedScenario, grid: tuple[int, int] | None = None)
     cell_v1 = np.repeat(values1, cols)
     cell_v2 = np.tile(values2, rows)
     factor = np.empty(rows * cols)
-    # a cell holds its drop table and kernel arrays of about sixteen m x m
-    # floats, or below D = 5 its mD x mD failure matrix, which is no larger
-    chunk = max(1, _CHUNK_BYTES // (chain.drops.nbytes + 128 * chain.quality_transition.size))
+    # a cell holds its drop table and, on the kernel, two m x D and three m x m float
+    # arrays, or below that its mD x mD failure matrix, no larger than 16 m x m floats
+    m, held = chain.hazards.shape
+    cell = 8 * (2 * m * held + 3 * m * m) if held >= _KERNEL_MIN_HOLDING else 128 * m * m
+    chunk = max(1, _CHUNK_BYTES // (chain.drops.nbytes + cell))
     for lo in range(0, factor.size, chunk):
         part = slice(lo, lo + chunk)
         drops = _cell_drops(chain.drops, masks, cell_v1[part], cell_v2[part])

@@ -107,6 +107,15 @@ def thin_tail_scenario():
     return parse_scenario_dict(data)
 
 
+def slow_fading_scenario():
+    """Bundled scenario with holding pmf proportional to 0.9^k over 256 slots (1,024 states)."""
+    with open(bundled_scenario_path(), "rb") as fh:
+        data = yaml.safe_load(fh)
+    data["channel"]["max_holding"] = 256
+    data["channel"]["holding_pmf"] = [0.1 * 0.9**k for k in range(256)]
+    return parse_scenario_dict(data)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

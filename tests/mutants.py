@@ -91,7 +91,7 @@ MUTANTS = (
     Mutant(
         "kernel weights drop the stay factor",
         "remest/stability.py",
-        "drop_stay[:, :, 1:] *= stay[:, :-1]",
+        "drop_stay[:, :, 1:] *= 1.0 - chain.hazards[:, :-1]",
         "drop_stay[:, :, 1:] *= 1.0",
         ("tests/test_stability.py::TestKernelFactors::test_random_chains_match_dense_eig",),
     ),
@@ -100,7 +100,28 @@ MUTANTS = (
         "remest/stability.py",
         "if not moving.any():",
         "if True:",
-        ("tests/test_stability.py::TestSingleChainKernel::test_root_takes_few_eigensolves",),
+        ("tests/test_stability.py::TestSingleChainKernel::test_exact_perron_vector_settles_in_two_steps",),
+    ),
+    Mutant(
+        "the kernel's bracket narrows on the Rayleigh quotient, not the Collatz-Wielandt bounds",
+        "remest/stability.py",
+        "upper, lower = np.log(top), np.log(bottom)",
+        "upper = lower = np.log(c.sum(axis=-1))",
+        ("tests/test_stability.py::TestKernelFactors::test_random_chains_match_dense_eig",),
+    ),
+    Mutant(
+        "a cell whose Perron vector is exact still solves with its singular shift",
+        "remest/stability.py",
+        "shifted[bottom == top] = eye",
+        "shifted[bottom != bottom] = eye",
+        ("tests/test_stability.py::TestKernelFactors::test_exact_vector_skips_its_singular_solve",),
+    ),
+    Mutant(
+        "r keeps its entries on kernel rows that lead to no cycle",
+        "remest/stability.py",
+        "active = (np.cumprod(drop_stay > 0.0, axis=-1) * chain.hazards > 0.0).any(axis=-1)",
+        "active = np.ones(drop_stay.shape[:2], dtype=bool)",
+        ("tests/test_scenario_cli.py::TestSweep::test_slow_fading_sweep_never_leaves_the_kernel",),
     ),
     Mutant(
         "the kernel's inner solve keeps moving cells that have settled",

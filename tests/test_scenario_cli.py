@@ -1,6 +1,7 @@
 import copy
 import math
 import time
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from remest import (
     ScenarioValidationError,
     SemiMarkovChannelModel,
 )
-from remest import sim
+from remest import sim, stability
 from remest.cli import main
 from remest.scenario import (
     _FIELD_PATHS,
@@ -36,8 +37,8 @@ from remest.sweep import (
     write_sweep_csv,
 )
 
-from conftest import long_holding_scenario
-from oracles import cascaded_index, per_cell_simulated_sweep, per_cell_sweep_factors
+from conftest import long_holding_scenario, slow_fading_scenario
+from oracles import cascaded_index, eig_spectral_radius, per_cell_simulated_sweep, per_cell_sweep_factors
 
 
 def bundled_dict():
@@ -254,6 +255,19 @@ class TestPathContract:
         assert time.perf_counter() - start < 1.0
         assert "scenario error: processes[0]: Kalman" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("matrix", ["W", "Z"])
+    def test_overflowing_entry_is_one_scenario_error_naming_it(self, matrix, tmp_path, capsys):
+        data = bundled_dict()
+        data["processes"][0][matrix] = [[1e308]]
+        p = tmp_path / "huge.yaml"
+        p.write_text(yaml.safe_dump(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any numpy warning fails the test
+            assert main(["validate", "--scenario", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("scenario error: processes[0]: ")
+        assert "the covariance overflows the float range" in err
+
     def test_every_model_field_has_a_path(self):
         inputs = {f.name for model in (SemiMarkovChannelModel, ProcessModel) for f in fields(model)}
         assert inputs <= set(_FIELD_PATHS)
@@ -271,8 +285,8 @@ class TestScenarioMutations:
     def test_every_field_replaced_loads_or_raises_a_scenario_error(self):
         """Each of the bundled document's 101 nodes, replaced by each of 17 values of every kind.
 
-        A 1e308 noise or sensor entry overflows the Kalman step before the
-        loader rejects it; only the exception type is checked here.
+        A 1e308 entry of C, W or Z overflows the Kalman step; the loader reports
+        that as a scenario error with no numpy warning (warnings fail the suite).
         """
         base = bundled_dict()
         rng = np.random.default_rng(26)
@@ -285,8 +299,7 @@ class TestScenarioMutations:
             ):
                 data = replace_node(copy.deepcopy(base), path, value)
                 try:
-                    with np.errstate(over="ignore"):
-                        parse_scenario_dict(data)
+                    parse_scenario_dict(data)
                     outcomes["loads"] += 1
                 except ScenarioError:
                     outcomes["rejected"] += 1
@@ -415,16 +428,32 @@ class TestSweep:
 
     def test_kernel_failure_falls_back_to_dense(self, monkeypatch):
         long = long_holding_scenario()
-        real_eig = np.linalg.eig
+        real_solve, failed = np.linalg.solve, []
 
-        def batched_fails(a):
+        def batched_fails(a, b):
             if np.ndim(a) == 3:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real_eig(a)
+                failed.append(len(a))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "eig", batched_fails)
+        monkeypatch.setattr(np.linalg, "solve", batched_fails)
         res = sweep_stability(long, grid=(4, 3))
+        assert failed  # the kernel's batched solve was reached
         assert np.array_equal(res.factor, per_cell_sweep_factors(long, (4, 3)))
+
+    def test_slow_fading_sweep_never_leaves_the_kernel(self, monkeypatch):
+        # D = 256: cells with a lossless level (axis value 0) have zero kernel rows
+        slow = slow_fading_scenario()
+        cell = apply_axes(slow.scenario, slow.sweep.axes, (0.0, 0.05))
+        want = eig_spectral_radius(cell.drops.min(axis=1)[:, None] * cell.transition)
+
+        def dense(*_):
+            raise AssertionError("a sweep cell went to the dense eigensolve")
+
+        monkeypatch.setattr(stability, "_greedy_factors", dense)
+        res = sweep_stability(slow, grid=(21, 21))
+        assert res.factor[0, 0] == 0.0 and np.all((res.factor.flat[1:] > 0.0) & (res.factor.flat[1:] < 1.0))
+        assert res.factor[0, 1] == pytest.approx(want, rel=1e-12)
 
     def test_eigensolve_failure_falls_back_per_cell(self, monkeypatch):
         loaded = load_bundled_scenario()

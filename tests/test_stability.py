@@ -403,6 +403,36 @@ class TestKernelFactors:
         chain = build_cascaded_chain(model)
         assert _kernel_factors(chain.drops[None], chain)[0] == 0.0
 
+    def test_rows_that_only_lead_to_lossless_rows_give_exactly_zero(self):
+        # qualities 0 and 1 drop but 0 -> 1 -> 2 always, and 2 never drops: only
+        # quality 2's row of A is zero, yet A is nilpotent and so is F
+        model = SemiMarkovChannelModel(
+            levels_per_frequency=(3,),
+            transition=[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.3, 0.2]],
+            holding_pmf=[0.4, 0.2, 0.2, 0.1, 0.1],
+            level_drops=((0.7, 0.6, 0.0),),
+        )
+        chain = build_cascaded_chain(model)
+        assert _kernel_factors(chain.drops[None], chain)[0] == 0.0
+        assert eig_spectral_radius(drop_matrix(chain, greedy_selection(chain)) @ chain.transition) < 1e-12
+
+    def test_exact_vector_skips_its_singular_solve(self):
+        # one quality, so r = 1 is exact at every step; with drop 1e-5 and holding
+        # times 63 and 64 the kernel is subnormal at t = 0, where the shift
+        # top * (1 + 4 eps) rounds onto rho itself and sigma - A is singular
+        model = SemiMarkovChannelModel(
+            levels_per_frequency=(1,),
+            transition=[[1.0]],
+            holding_pmf=[0.0] * 62 + [0.5, 0.5],
+            level_drops=((1e-5,),),
+        )
+        chain = build_cascaded_chain(model)
+        drops = np.stack([chain.drops, np.full_like(chain.drops, 0.5)])
+        got = _kernel_factors(drops, chain)  # a solve on the first cell would raise for both
+        assert got[1] == _kernel_factors(drops[1:], chain)[0] == pytest.approx(0.5, rel=1e-14)
+        assert np.isnan(got[0])  # its scalar model overflows: the dense eigensolve takes it
+        assert _stack_factors(drops, chain)[0] == pytest.approx(1e-5, rel=1e-12)
+
     def test_tiny_factor_settles_on_the_kernel(self):
         # a near-certain success on entering each quality, then certain drops
         # for the 6 or 7 slots still held: rho(A(1)) ~ 1e-60, and A overflows
@@ -477,33 +507,65 @@ class TestSingleChainKernel:
             # the kernel root itself, not the dense eigensolve's rounding
             assert lam == _kernel_factors(chain.drops[None], chain)[0]
 
-    @pytest.mark.parametrize("make", SINGLE_KERNEL_MODELS.values(), ids=SINGLE_KERNEL_MODELS)
-    def test_root_takes_few_eigensolves(self, rng, make, monkeypatch):
-        # the Rayleigh-functional step settles a D = 8 chain in four or five
-        # eigensolves; a Newton step on f alone takes about seven
-        calls = []
-        for name in ("eig", "eigvals"):
-            real = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name, lambda a, real=real: calls.append(a) or real(a))
-        counts = []
-        for _ in range(6):
-            chain = build_cascaded_chain(make(rng, 8))
-            calls.clear()
-            current_csi_factor(chain)
-            counts.append(len(calls))
-        assert max(counts) <= 6 and np.mean(counts) <= 5.0, counts
+    @staticmethod
+    def _count_kernel_steps(monkeypatch):
+        """Record each kernel step (one batched solve); the kernel makes no eigensolve."""
+        calls, real_solve = [], np.linalg.solve
 
-    def test_batched_eig_failure_falls_back_to_dense(self, rng, monkeypatch):
+        def solve(a, b):
+            if np.ndim(a) == 3:
+                calls.append(len(a))
+            return real_solve(a, b)
+
+        def eigensolve(*_):
+            raise AssertionError("the kernel calls no eigensolver or inverse")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        for name in ("eig", "eigvals", "inv"):
+            monkeypatch.setattr(np.linalg, name, eigensolve)
+        return calls
+
+    @pytest.mark.parametrize("make", SINGLE_KERNEL_MODELS.values(), ids=SINGLE_KERNEL_MODELS)
+    def test_root_takes_few_kernel_steps(self, rng, make, monkeypatch):
+        # from r = l = 1, Noda steps settle a D = 8 chain in six to nine kernel steps
+        chains = [build_cascaded_chain(make(rng, 8)) for _ in range(6)]
+        calls = self._count_kernel_steps(monkeypatch)
+        counts = []
+        for chain in chains:
+            calls.clear()
+            stability._kernel_factors(chain.drops[None], chain)
+            counts.append(len(calls))
+        assert max(counts) <= 10 and np.mean(counts) <= 8.0, counts
+
+    def test_exact_perron_vector_settles_in_two_steps(self, rng, monkeypatch):
+        # a holding pmf and a greedy drop shared by every quality make A(mu) = g(mu) T,
+        # so r = 1 is exact, q(u) is rho itself and its root is exact in one step;
+        # one Newton step per kernel step would take six or seven
+        chains = []
+        for _ in range(6):
+            model = random_semi_markov(rng, levels=(2, 2), max_holding=8, max_drop=0.9)
+            d = rng.uniform(0.2, 0.9)
+            shared = np.asarray(model.holding_pmf)[0]
+            chains.append(build_cascaded_chain(
+                replace(model, level_drops=((d, d), (d, 1.0)), holding_pmf=shared)))
+        dense = [eig_spectral_radius(drop_matrix(c, greedy_selection(c)) @ c.transition) for c in chains]
+        calls = self._count_kernel_steps(monkeypatch)
+        for chain, want in zip(chains, dense):
+            calls.clear()
+            lam = stability._kernel_factors(chain.drops[None], chain)[0]
+            assert len(calls) <= 2 and lam == pytest.approx(want, rel=1e-13), (len(calls), lam, want)
+
+    def test_batched_solve_failure_falls_back_to_dense(self, rng, monkeypatch):
         chain = build_cascaded_chain(random_semi_markov(rng, levels=(2, 2), max_holding=8))
         dense = _greedy_factors(chain.drops[None], chain.transition)[0]
-        real_eig = np.linalg.eig
+        real_solve = np.linalg.solve
 
-        def batched_fails(a):
+        def batched_fails(a, b):
             if np.ndim(a) == 3:
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real_eig(a)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
 
-        monkeypatch.setattr(np.linalg, "eig", batched_fails)
+        monkeypatch.setattr(np.linalg, "solve", batched_fails)
         assert current_csi_factor(chain)[0] == dense
         assert cycle_chain(chain).fail_radius == dense
 
@@ -515,7 +577,7 @@ class TestSingleChainKernel:
         assert cycle_chain(chain).fail_radius == dense
 
     def test_short_holding_keeps_the_dense_path(self, rng, monkeypatch):
-        chain = build_cascaded_chain(random_semi_markov(rng, levels=(2, 2), max_holding=4))
+        chain = build_cascaded_chain(random_semi_markov(rng, levels=(2, 2), max_holding=3))
         monkeypatch.setattr(stability, "_kernel_factors", None)  # a call would raise
         assert current_csi_factor(chain)[0] == _greedy_factors(chain.drops, chain.transition)
 
