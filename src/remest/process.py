@@ -33,6 +33,7 @@ from .errors import DimensionMismatchError, NonConvergentError
 _PLAIN_LIMIT = 1e250
 _LOG_MAX_FLOAT = math.log(np.finfo(float).max)
 _MAX_DOUBLINGS = 64  # Kalman doublings before giving up: 2^64 filter steps
+_OVERFLOWED = "; the covariance overflows the float range"  # ends a message after an overflow
 
 
 def min_eigenvalue(x: np.ndarray) -> float:
@@ -106,10 +107,10 @@ def _update(model: ProcessModel, predicted: np.ndarray) -> tuple[np.ndarray, np.
     return (updated + updated.T) / 2.0, gain
 
 
-def _divergence_cause(model: ProcessModel, moved: float) -> str:
+def _divergence_cause(model: ProcessModel, overflowed: bool) -> str:
     """The mode with |z| >= 1 that (A, C) or (A, W^1/2) misses, by the PBH rank test at z.
 
-    ``[A - z I, W]`` has the range of ``[A - z I, W^1/2]``; else a non-finite ``moved`` overflowed.
+    ``[A - z I, W]`` has the range of ``[A - z I, W^1/2]``; with no such mode, names an overflow.
     """
     eye, unstable = np.eye(model.state_dim), [z for z in np.linalg.eigvals(model.A) if abs(z) >= 1]
     for a, b, cause in (
@@ -120,7 +121,7 @@ def _divergence_cause(model: ProcessModel, moved: float) -> str:
             s = np.linalg.svd(np.hstack([a - z * eye, b]), compute_uv=False)
             if s[-1] <= 1e-9 * s[0]:
                 return f"the mode of A at eigenvalue {z:.6g} {cause}"
-    overflow = "" if math.isfinite(moved) else "; the covariance overflows the float range"
+    overflow = _OVERFLOWED if overflowed else ""
     return f"no mode of A on or outside the unit circle is unobserved or noiseless{overflow}"
 
 
@@ -139,8 +140,8 @@ def steady_state_covariance(model: ProcessModel, tol: float = 1e-12) -> SteadySt
     if tol <= 0:
         raise ValueError("tol must be positive")
     l = model.state_dim
-    # an undetectable mode or an entry near the float range overflows: reported, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
+    overflows = []  # an undetectable mode or entries near the float range: reported, not warned
+    with np.errstate(over="call", invalid="ignore", call=lambda kind, flag: overflows.append(kind)):
         a, g, h = model.A.T, model.C.T @ np.linalg.solve(model.Z, model.C), model.W
         for k in range(_MAX_DOUBLINGS):
             x = np.linalg.solve(np.eye(l) + g @ h, np.hstack([a, g]))  # (I + G H)^-1 [A, G]
@@ -153,14 +154,15 @@ def steady_state_covariance(model: ProcessModel, tol: float = 1e-12) -> SteadySt
         if not settled:
             raise NonConvergentError(
                 f"Kalman covariance doubling did not settle in {k + 1} doublings (last move "
-                f"{moved:.3e}); {_divergence_cause(model, moved)}"
+                f"{moved:.3e}); {_divergence_cause(model, bool(overflows))}"
             )
         p, _ = _update(model, h)
         predicted = model.A @ p @ model.A.T + model.W  # the polishing step
         p_next, gain = _update(model, predicted)
         residual = float(np.max(np.abs(p_next - p)))
     if not residual <= tol * max(1.0, float(np.max(np.abs(predicted)))):
-        raise NonConvergentError(f"Kalman one-step residual {residual:.3e} exceeds tol={tol}")
+        cause = _OVERFLOWED if overflows else ""
+        raise NonConvergentError(f"Kalman one-step residual {residual:.3e} exceeds tol={tol}{cause}")
     return SteadyStateKF(covariance=p_next, gain=gain, residual=residual)
 
 

@@ -439,7 +439,8 @@ def cycle_length_pmf(analysis: CycleAnalysis, state: int, j_max: int) -> CyclePm
     ``P(T = j) = sum_k [F^(j-1) S]_{state, k}`` evaluated for j up to
     ``j_max``.  The tail ``P(T > j_max)`` is ``[F^j_max G 1]_state``, read off
     the cycle chain's ``G``; ``1 - sum(probs)`` would leave only rounding noise
-    once the series has converged.
+    once the series has converged.  Rows ``e_state F^j`` come by doubling, rows ``[:h] F^h``
+    filling ``[h:2h]``; each entry sums nonnegative terms, so its rounding stays relative.
     """
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
@@ -448,8 +449,10 @@ def cycle_length_pmf(analysis: CycleAnalysis, state: int, j_max: int) -> CyclePm
         raise ValueError(f"state {state} out of range")
     rows = np.zeros((j_max + 1, n))  # rows[j] = e_state F^j
     rows[0, state] = 1.0
-    for j in range(j_max):
-        np.matmul(rows[j], analysis.fail_step, out=rows[j + 1])
+    power = analysis.fail_step  # F^h for the block that starts at row h = 1, 2, 4, ...
+    for h in (1 << k for k in range(j_max.bit_length())):
+        np.matmul(rows[: min(h, j_max + 1 - h)], power, out=rows[h : 2 * h])
+        power = power @ power if 2 * h <= j_max else power  # no square after the last block
     probs = rows[:j_max] @ analysis.success_step.sum(axis=1)
     tail = max(0.0, float(rows[j_max] @ analysis.g_full.sum(axis=1)))
     return CyclePmf(state=state, probs=probs, tail=tail, fail_radius=analysis.fail_radius)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import yaml
 sys.path.insert(0, str(Path(__file__).parent))
 
 from remest import ProcessModel, Scenario, SemiMarkovChannelModel
-from remest.scenario import bundled_scenario_path, parse_scenario_dict
+from remest.scenario import bundled_scenario_path, load_scenario, parse_scenario_dict
 
 
 def scalar_process(a: float, w: float = 1.0, z: float = 1.0, index: int = 0) -> ProcessModel:
@@ -114,6 +115,14 @@ def slow_fading_scenario():
     data["channel"]["max_holding"] = 256
     data["channel"]["holding_pmf"] = [0.1 * 0.9**k for k in range(256)]
     return parse_scenario_dict(data)
+
+
+def large_chain_scenario(seed: int, directory):
+    """The bench's generated ``large-chain`` scenario for one seed: 96 cascaded states."""
+    path = Path(directory) / f"large{seed}.yaml"
+    script = Path(__file__).resolve().parent.parent / "bench" / "gen_large_chain.py"
+    subprocess.run([sys.executable, str(script), "--seed", str(seed), "--out", str(path)], check=True)
+    return load_scenario(path)
 
 
 @pytest.fixture

@@ -147,6 +147,13 @@ MUTANTS = (
         "except ZeroDivisionError as exc:",
         ("tests/test_stability.py::TestCycleChain::test_all_drop_chain_whose_radius_rounds_below_one_is_divergent",),
     ),
+    Mutant(
+        "each block of the cycle pmf's doubling is multiplied by F, not by F^h",
+        "remest/stability.py",
+        "np.matmul(rows[: min(h, j_max + 1 - h)], power, out=rows[h : 2 * h])",
+        "np.matmul(rows[: min(h, j_max + 1 - h)], analysis.fail_step, out=rows[h : 2 * h])",
+        ("tests/test_stability.py::TestCycleLengthPmf::test_bundled_and_large_chains_match_row_products",),
+    ),
 )
 
 

@@ -16,6 +16,8 @@ sweep's shared walk, runs the production ``run`` once per cell and seed on
 each cell's overridden chain; ``series_cycle_chain`` and
 ``series_cycle_tail``, the references for the cycle chain's one solve, sum
 the cycle series term by term on the production failure and success steps;
+``reference_cycle_pmf``, the reference for the cycle-length pmf's
+doubling, builds ``e_state F^j`` one row product at a time;
 ``exact_expected_cycle_cost`` sums the
 cycle-cost series in closed form on the production cycle chain's failure
 and success steps; ``reference_run``, the
@@ -291,6 +293,20 @@ def series_cycle_tail(fail, success, j_max: int, tol: float = 1e-20) -> np.ndarr
         total += term
         term = fail @ term
     return np.linalg.matrix_power(fail, j_max) @ total
+
+
+def reference_cycle_pmf(analysis, state: int, j_max: int) -> tuple[np.ndarray, float]:
+    """``(probs, tail)`` of the cycle-length pmf from ``j_max`` one-row products.
+
+    ``rows[j + 1] = rows[j] F`` from ``rows[0] = e_state``; ``probs[j - 1] =
+    rows[j - 1] S 1`` and ``tail = max(0, rows[j_max] G 1)``.
+    """
+    rows = np.zeros((j_max + 1, analysis.fail_step.shape[0]))
+    rows[0, state] = 1.0
+    for j in range(j_max):
+        np.matmul(rows[j], analysis.fail_step, out=rows[j + 1])
+    probs = rows[:j_max] @ analysis.success_step.sum(axis=1)
+    return probs, max(0.0, float(rows[j_max] @ analysis.g_full.sum(axis=1)))
 
 
 def exact_expected_cycle_cost(analysis, rho: float, eta: float, state: int) -> float:

@@ -268,6 +268,21 @@ class TestPathContract:
         assert err.count("\n") == 1 and err.startswith("scenario error: processes[0]: ")
         assert "the covariance overflows the float range" in err
 
+    @pytest.mark.parametrize("entry", [1e308, 1e160])
+    def test_overflowing_measurement_matrix_is_named_by_the_residual(self, entry, tmp_path, capsys):
+        # C' Z^-1 C overflows: the doubling settles on it, and the polishing step's
+        # residual fails, NaN at 1e308 and finite at 1e160
+        data = bundled_dict()
+        data["processes"][0]["C"] = [[entry]]
+        p = tmp_path / "huge.yaml"
+        p.write_text(yaml.safe_dump(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # any numpy warning fails the test
+            assert main(["validate", "--scenario", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("scenario error: processes[0]: Kalman one-step residual")
+        assert err.rstrip().endswith("; the covariance overflows the float range")
+
     def test_every_model_field_has_a_path(self):
         inputs = {f.name for model in (SemiMarkovChannelModel, ProcessModel) for f in fields(model)}
         assert inputs <= set(_FIELD_PATHS)

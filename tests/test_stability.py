@@ -30,6 +30,7 @@ from conftest import (
     bernoulli_channel,
     example_channel,
     example_processes,
+    large_chain_scenario,
     random_semi_markov,
     scalar_process,
 )
@@ -40,11 +41,13 @@ from oracles import (
     gelfand_spectral_radius,
     harvest_cycles,
     power_method_stationary,
+    reference_cycle_pmf,
     series_cycle_chain,
     series_cycle_tail,
     tv_distance,
 )
 from remest.channel import sample_paths
+from remest.scenario import load_bundled_scenario
 
 
 def two_state_two_freq(drops=((0.3, 0.6), (0.4,)), t=((0.7, 0.3), (0.2, 0.8))):
@@ -641,9 +644,11 @@ class TestCycleChain:
         with pytest.raises(DivergentSeriesError):
             cycle_chain(chain)
 
-    def test_all_drop_chain_whose_radius_rounds_below_one_is_divergent(self):
-        # every slot drops, so F = T, but its computed radius is 0.9999999999999993:
-        # the guard on rho passes and I - F is singular
+    def test_all_drop_chain_whose_radius_rounds_below_one_is_divergent(self, monkeypatch):
+        # every slot drops, so F = T and I - F is singular.  The computed radius reads
+        # 0.9999999999999993 or 1.0000000000000002 depending on the BLAS kernel, so the
+        # chain is divergent through the solve or through the guard on rho; a radius
+        # pinned just below 1 passes the guard and reaches the singular solve on every kernel
         chain = build_cascaded_chain(
             SemiMarkovChannelModel(
                 levels_per_frequency=(1,),
@@ -652,7 +657,12 @@ class TestCycleChain:
                 level_drops=((1.0,),),
             )
         )
-        assert current_csi_factor(chain)[0] < 1.0
+        factor, selection = current_csi_factor(chain)
+        assert factor == pytest.approx(1.0, rel=0, abs=1e-15)
+        with pytest.raises(DivergentSeriesError):
+            cycle_chain(chain)
+        below_one = (np.nextafter(1.0, 0.0), selection)
+        monkeypatch.setattr(stability, "current_csi_factor", lambda c: below_one)
         with pytest.raises(DivergentSeriesError, match="singular"):
             cycle_chain(chain)
 
@@ -717,6 +727,53 @@ class TestCycleChain:
             pmf = cycle_length_pmf(analysis, state, 40)
             emp = lengths[state] / lengths[state].sum()
             assert tv_distance(emp, pmf.probs / pmf.probs.sum()) < 0.02
+
+
+class TestCycleLengthPmf:
+    J_MAX = (1, 2, 3, 63, 64, 65, 200, 201, 1000)
+    # 1e-13 relative to the value or to the smallest normal float: entries that
+    # underflow into the subnormal range keep only absolute accuracy
+    ATOL = 1e-13 * np.finfo(float).tiny
+
+    def _assert_matches_row_products(self, analysis):
+        """Every pre-cycle state's pmf and tail against j_max one-row products."""
+        for state in analysis.pre_cycle_states:
+            for j_max in self.J_MAX:
+                pmf = cycle_length_pmf(analysis, state, j_max)
+                probs, tail = reference_cycle_pmf(analysis, state, j_max)
+                assert pmf.probs[0] == probs[0]
+                np.testing.assert_allclose(pmf.probs, probs, rtol=1e-13, atol=self.ATOL)
+                assert pmf.tail == pytest.approx(tail, rel=1e-13, abs=self.ATOL)
+
+    def test_bundled_and_large_chains_match_row_products(self, tmp_path):
+        for loaded in (load_bundled_scenario(), large_chain_scenario(7, tmp_path)):
+            self._assert_matches_row_products(cycle_chain(loaded.scenario.chain))
+
+    @pytest.mark.parametrize("make", CYCLE_MODELS.values(), ids=CYCLE_MODELS)
+    def test_cycle_models_match_row_products(self, rng, make):
+        self._assert_matches_row_products(cycle_chain(build_cascaded_chain(make(rng))))
+
+    def test_doubling_takes_log2_block_products(self):
+        """j_max = 200: eight blocks of rows times a power of F and seven squarings."""
+        blocks, squares = [], []
+
+        class Counted(np.ndarray):
+            """F and its powers: records every product they enter."""
+
+            def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+                assert ufunc is np.matmul
+                if "out" in kwargs:  # a block: rows[:h] F^h written into rows[h : 2h]
+                    blocks.append(args[0].shape[0])
+                else:
+                    squares.append(args[0].shape)
+                return ufunc(*map(np.asarray, args), **kwargs).view(Counted)
+
+        analysis = cycle_chain(build_cascaded_chain(example_channel()))
+        counted = replace(analysis, fail_step=analysis.fail_step.view(Counted))
+        pmf = cycle_length_pmf(counted, 0, 200)
+        assert blocks == [1, 2, 4, 8, 16, 32, 64, 73]
+        assert squares == [analysis.fail_step.shape] * 7
+        np.testing.assert_allclose(pmf.probs, reference_cycle_pmf(analysis, 0, 200)[0], rtol=1e-13)
 
 
 class TestExpectedCycleCost:
